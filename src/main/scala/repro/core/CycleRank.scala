@@ -10,21 +10,20 @@ import repro.graph.{DirectedGraph, GraphOps}
   * number of simple cycles of length n (edges) containing both the
   * reference node r and node i.
   *
-  * Distributed evaluation in three stages, all as DataFrame dataflow:
+  * Evaluated in two steps:
   *
-  *  1. '''Prune''' — forward BFS from r and backward BFS to r, both capped
-  *     at K−1 hops; a vertex can lie on a qualifying cycle only if
-  *     `distₒᵤₜ(r,v) + distᵢₙ(v,r) ≤ K`, so everything else (and every
-  *     edge touching it) is dropped. On hub-and-community graphs this
-  *     shrinks the search space by orders of magnitude.
-  *  2. '''Expand''' — simple paths anchored at r are grown one edge per
-  *     sweep (`path` is an array column); an extension to a vertex already
-  *     on the path is discarded (simple cycles only), and an extension
-  *     whose remaining backward distance exceeds the remaining length
-  *     budget is discarded (it can no longer close in time).
-  *  3. '''Score''' — every extension that reaches r again closes a cycle
-  *     of length `|path|`; its members each earn `σ(|path|)`; scores are
-  *     summed per vertex.
+  *  1. '''Prune''' (distributed) — one capped BFS loop from r advances the
+  *     forward and the backward frontier together, K−1 levels at most, one
+  *     Spark action per level ([[GraphOps.cappedBfs]]). A vertex can lie on
+  *     a qualifying cycle only if `distₒᵤₜ(r,v) + distᵢₙ(v,r) ≤ K`; these
+  *     vertices form the support. On hub-and-community graphs it is orders
+  *     of magnitude smaller than the graph.
+  *  2. '''Kernel''' (driver) — the edges with both endpoints in the support
+  *     are collected in one action and handed to
+  *     [[LocalCycleRank.runOnEdges]], which enumerates every simple cycle of
+  *     length ≤ K through r by bounded DFS (Johnson-style) and credits
+  *     `σ(n)` to each of its members. The support-induced subgraph keeps
+  *     every such cycle, so the answer is exact.
   *
   * The result contains only vertices with a strictly positive score (the
   * paper's Table III shows short lists — "–" cells — when fewer than five
@@ -40,86 +39,40 @@ object CycleRank {
     require(k >= 2, s"K must be > 1 (got $k)")
   }
 
-  /** Distributed CycleRank. Returns `(id, score)` with `score > 0`. */
+  /** CycleRank of `ref`. Returns `(id, score)` with `score > 0`. */
   def run(g: DirectedGraph, ref: Long, cfg: Config = Config()): DataFrame = {
     val spark = g.edges.sparkSession
-    import spark.implicits._
-    require(!g.vertices.where(col("id") === ref).isEmpty,
-      s"reference node $ref is not in the graph")
-
-    // Stage 1 — prune to the cycle-support subgraph.
-    val fwd = GraphOps.bfsDistances(g, ref, cfg.k - 1)
-      .select(col("id"), col("dist").as("fdist"))
-    val bwd = GraphOps.bfsDistances(g.transpose, ref, cfg.k - 1)
-      .select(col("id"), col("dist").as("bdist"))
-    val support = fwd.join(bwd, Seq("id"))
-      .where(col("fdist") + col("bdist") <= cfg.k)
-      .select(col("id"), col("bdist"))
-      .localCheckpoint(eager = true)
-    if (support.count() <= 1) {
-      // r shares no cycle of length ≤ K with anyone.
-      return Seq((ref, 0.0)).toDF("id", "score").where(col("score") > 0)
+    val (fwd, bwd) = GraphOps.cappedBfs(g, ref, cfg.k - 1)
+    if (fwd.size == 1 && bwd.size == 1) {
+      // Level 1 reached nothing: r has no edge, and may not exist at all.
+      require(!g.vertices.where(col("id") === ref).isEmpty,
+        s"reference node $ref is not in the graph")
+      return scoresDf(spark, Map.empty)
     }
-    val edges = g.edges
-      .join(support.select(col("id").as("src")), Seq("src"))
-      .join(support.select(col("id").as("dst")), Seq("dst"))
-      .select(col("src"), col("dst"))
-      .localCheckpoint(eager = true)
-
-    // σ(n) lookup as a tiny frame joined onto the harvested cycles.
-    val weights = (2 to cfg.k).map(n => (n, cfg.scoring.sigma(n))).toDF("n", "w")
-
-    // Stage 2 + 3 — expand simple paths from r, harvesting closed cycles.
-    // Every per-sweep frame is eagerly localCheckpoint-ed: the expansion
-    // re-references `ext` twice per sweep and Catalyst analysis time grows
-    // multiplicatively if the logical plans are left to nest.
-    var paths = Seq((Array(ref), ref)).toDF("path", "last").localCheckpoint(eager = true)
-    var cycleMembers: DataFrame =
-      spark.emptyDataset[(Long, Int)].toDF("id", "n").localCheckpoint(eager = true)
-    var sweep = 1
-    var done = false
-    while (sweep <= cfg.k && !done) {
-      val ext = paths.join(edges, paths("last") === edges("src"))
-        .select(col("path"), col("dst"))
-        .localCheckpoint(eager = true)
-      val closing = ext.where(col("dst") === ref && size(col("path")) >= 2)
-        .select(explode(col("path")).as("id"), size(col("path")).as("n"))
-      cycleMembers = cycleMembers.union(closing).localCheckpoint(eager = true)
-      if (sweep == cfg.k) { done = true }
-      else {
-        val open = ext
-          .where(col("dst") =!= ref && !array_contains(col("path"), col("dst")))
-          .join(support.select(col("id").as("dst"), col("bdist")), Seq("dst"))
-          .where(col("bdist") <= lit(cfg.k) - size(col("path")))
-          .select(concat(col("path"), array(col("dst"))).as("path"), col("dst").as("last"))
-          .localCheckpoint(eager = true)
-        if (open.isEmpty) done = true
-        paths.unpersist()
-        paths = open
-      }
-      ext.unpersist()
-      sweep += 1
-    }
-
-    val scores = cycleMembers.join(weights, Seq("n"))
-      .groupBy(col("id")).agg(sum(col("w")).as("score"))
-      .where(col("score") > 0)
-      .localCheckpoint(eager = true)
-    support.unpersist(); edges.unpersist()
-    scores
+    val support = fwd.keySet.filter(v => bwd.get(v).exists(_ + fwd(v) <= cfg.k))
+    // With a support of r alone, r shares no cycle of length ≤ K.
+    if (support.size <= 1) return scoresDf(spark, Map.empty)
+    val edges = supportEdges(g, support, ref, cfg.k, LocalCycleRank.MaxDriverEdges.toInt)
+    scoresDf(spark, LocalCycleRank.runOnEdges(edges, ref, cfg))
   }
 
-  /** CycleRank for a batch of reference nodes (used by dataset-comparison
-    * harnesses): returns `(ref, id, score)`.
+  /** The edges with both endpoints in `support`, collected to the driver
+    * in one action; fails naming `ref`, `k` and `limit` when there are
+    * more than `limit` of them.
     */
-  def runMany(g: DirectedGraph, refs: Seq[Long], cfg: Config): DataFrame = {
-    val spark = g.edges.sparkSession
-    refs.map { r =>
-      run(g, r, cfg).withColumn("ref", lit(r)).select("ref", "id", "score")
-    }.reduceOption(_ union _)
-      .getOrElse {
-        import spark.implicits._
-        spark.emptyDataset[(Long, Long, Double)].toDF("ref", "id", "score")
-      }
+  private[core] def supportEdges(g: DirectedGraph, support: Set[Long], ref: Long, k: Int,
+                                 limit: Int): Seq[(Long, Long)] = {
+    val ids = support.toSeq
+    val edges = g.edges.where(col("src").isin(ids: _*) && col("dst").isin(ids: _*))
+      .limit(limit + 1).collect().map(r => (r.getLong(0), r.getLong(1)))
+    require(edges.length <= limit,
+      s"CycleRank support of reference $ref at K=$k has more than $limit edges, " +
+      "the most the driver kernel takes")
+    edges.toSeq
+  }
+
+  private def scoresDf(spark: SparkSession, scores: Map[Long, Double]): DataFrame = {
+    import spark.implicits._
+    scores.toSeq.sortBy(_._1).toDF("id", "score")
   }
 }

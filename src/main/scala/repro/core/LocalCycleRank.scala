@@ -3,21 +3,22 @@ package repro.core
 import scala.collection.mutable
 import repro.graph.DirectedGraph
 
-/** Single-machine CycleRank baseline — the analogue of the authors'
+/** The CycleRank enumeration kernel — the analogue of the authors'
   * reference C++ implementation: a bounded-depth DFS that enumerates every
-  * simple cycle of length ≤ K through the reference node, with the same
-  * forward/backward-distance pruning as the distributed version.
+  * simple cycle of length ≤ K through the reference node, pruned by
+  * forward/backward distance like [[CycleRank]]'s support.
   *
-  * Used (a) as the exact correctness reference for [[CycleRank]] and
-  * (b) as the baseline comparator in the scaling bench.
+  * [[runOnEdges]] is the kernel [[CycleRank.run]] runs on the collected
+  * support; [[run]] collects the whole graph instead and is the
+  * single-machine baseline of the scaling bench.
   */
 object LocalCycleRank {
 
-  /** Maximum number of edges we are willing to collect to the driver. */
+  /** Maximum number of edges collected to the driver for the kernel. */
   val MaxDriverEdges: Long = 5_000_000L
 
-  /** Compute CycleRank scores locally. Returns only vertices with a
-    * strictly positive score, like the distributed engine.
+  /** Compute CycleRank scores on the whole collected graph. Returns only
+    * vertices with a strictly positive score, like [[CycleRank.run]].
     */
   def run(g: DirectedGraph, ref: Long, cfg: CycleRank.Config): Map[Long, Double] = {
     val m = g.numEdges
@@ -52,7 +53,10 @@ object LocalCycleRank {
     val support = fwd.keySet
       .filter(v => bwd.contains(v) && fwd(v) + bwd(v) <= k)
 
-    val scores = mutable.Map.empty[Long, Double].withDefaultValue(0.0)
+    // Cycles per (vertex, length) are counted exactly; the scores are
+    // summed from the counts in increasing length, so they do not depend
+    // on edge order and exact ties stay exact.
+    val counts = mutable.LongMap.empty[Array[Long]]
     val path = mutable.ArrayBuffer[Long](ref)
     val onPath = mutable.Set[Long](ref)
 
@@ -60,8 +64,7 @@ object LocalCycleRank {
       for (w <- adj.getOrElse(v, Array.empty[Long])) {
         if (w == ref && path.length >= 2) {
           val n = path.length // cycle length in edges
-          val sigma = cfg.scoring.sigma(n)
-          path.foreach(u => scores(u) += sigma)
+          path.foreach(u => counts.getOrElseUpdate(u, new Array[Long](k + 1))(n) += 1)
         } else if (path.length < k && !onPath.contains(w) && support.contains(w)
                    && bwd(w) <= k - path.length) {
           path += w; onPath += w
@@ -71,6 +74,8 @@ object LocalCycleRank {
       }
     }
     dfs(ref)
-    scores.toMap
+    counts.iterator.map { case (u, c) =>
+      u -> (2 to k).foldLeft(0.0)((acc, n) => acc + cfg.scoring.sigma(n) * c(n))
+    }.filter(_._2 > 0).toMap
   }
 }

@@ -1,5 +1,6 @@
 package repro.graph
 
+import scala.collection.mutable
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
@@ -50,28 +51,44 @@ object GraphOps {
 
   /** Vertices within `maxDist` hops of `source` following edge direction:
     * `(id, dist)` with `dist` the minimum hop count (source itself at 0).
-    * Plain BFS over DataFrame joins; used by CycleRank's pruning stage.
+    * One direction of [[cappedBfs]].
     */
   def bfsDistances(g: DirectedGraph, source: Long, maxDist: Int): DataFrame = {
     val spark = g.edges.sparkSession
     import spark.implicits._
-    var frontier = Seq(source).toDF("id")
-    var dist     = frontier.withColumn("dist", lit(0))
-    var d        = 0
-    while (d < maxDist) {
+    cappedBfs(g, source, maxDist, backward = false)._1.toSeq.toDF("id", "dist")
+  }
+
+  /** Capped BFS from `source`, forward along `src→dst` and (if `backward`)
+    * backward along `dst→src`, both frontiers advanced together over one
+    * `(from, to, fwd)` view of the edges. Each level is one join of that
+    * view with the frontier, then `distinct` and `collect`: one Spark
+    * action per level, with the frontier and the distances kept on the
+    * driver. Stops after `maxDist` levels or when every frontier is empty.
+    *
+    * @return forward and backward minimum hop counts, `source` at 0 in
+    *         both (the backward map is just the source if `!backward`)
+    */
+  def cappedBfs(g: DirectedGraph, source: Long, maxDist: Int,
+                backward: Boolean = true): (Map[Long, Int], Map[Long, Int]) = {
+    val spark = g.edges.sparkSession
+    import spark.implicits._
+    val dirs = if (backward) Seq(true, false) else Seq(true)
+    val view = dirs.map { fwd =>
+      val (from, to) = if (fwd) ("src", "dst") else ("dst", "src")
+      g.edges.select(col(from).as("from"), col(to).as("to"), lit(fwd).as("fwd"))
+    }.reduce(_ union _)
+    val dist = Map(true -> mutable.LongMap(source -> 0), false -> mutable.LongMap(source -> 0))
+    var frontier = dirs.map(source -> _)
+    var d = 0
+    while (d < maxDist && frontier.nonEmpty) {
       d += 1
-      // Eager localCheckpoint per level: truncates the logical plan, which
-      // otherwise deepens every level and blows up Catalyst analysis time.
-      val next = frontier.join(g.edges, frontier("id") === g.edges("src"))
-        .select(col("dst").as("id")).distinct()
-        .join(dist.select(col("id").as("seen")), col("id") === col("seen"), "left_anti")
-        .localCheckpoint(eager = true)
-      if (next.isEmpty) { d = maxDist } // frontier exhausted
-      else {
-        dist = dist.union(next.withColumn("dist", lit(d))).localCheckpoint(eager = true)
-        frontier = next
-      }
+      frontier = view.join(frontier.toDF("from", "fwd"), Seq("from", "fwd"))
+        .select(col("to"), col("fwd")).distinct()
+        .collect().map(r => (r.getLong(0), r.getBoolean(1)))
+        .filterNot { case (v, fwd) => dist(fwd).contains(v) }.toSeq
+      for ((v, fwd) <- frontier) dist(fwd)(v) = d
     }
-    dist
+    (dist(true).toMap, dist(false).toMap)
   }
 }

@@ -1,9 +1,8 @@
 package repro.graph
 
 import org.apache.spark.graphx.{Edge, Graph, VertexId}
-import org.apache.spark.sql.{DataFrame, SparkSession}
 
-/** Conversion between the DataFrame graph representation and GraphX, so
+/** Conversion from the DataFrame graph representation to GraphX, so
   * iterative algorithms can run as pregel-style vertex computations over
   * DataFrame-loaded graphs (the reproduction target's dataflow shape).
   */
@@ -16,13 +15,5 @@ object GraphXBridge {
     val edgeRdd = g.edges.rdd.map(r => Edge[Unit](r.getLong(0), r.getLong(1), ()))
     val vertRdd = g.vertices.rdd.map(r => (r.getLong(0): VertexId, ()))
     Graph(vertRdd, edgeRdd)
-  }
-
-  /** Materialise a GraphX vertex RDD of doubles back into a `(id, score)`
-    * DataFrame.
-    */
-  def scoresToDf(spark: SparkSession, g: Graph[Double, _]): DataFrame = {
-    import spark.implicits._
-    g.vertices.map { case (id, v) => (id, v) }.toDF("id", "score")
   }
 }

@@ -83,7 +83,46 @@ class CycleRankSpec extends SparkSpec with GraphTestKit {
 
   test("missing reference node is rejected") {
     val g = graphOf((1L, 2L), (2L, 1L))
-    intercept[IllegalArgumentException](CycleRank.run(g, 99L, CycleRank.Config(3)))
+    val ex = intercept[IllegalArgumentException](CycleRank.run(g, 99L, CycleRank.Config(3)))
+    assert(ex.getMessage.contains("reference node 99 is not in the graph"))
+  }
+
+  test("labelled isolated reference yields an empty result") {
+    import spark.implicits._
+    val g = repro.graph.DirectedGraph(graphOf((1L, 2L), (2L, 1L)).edges,
+      Some(Seq((1L, "a"), (2L, "b"), (7L, "iso")).toDF("id", "label")))
+    assert(cr(g, 7L, 3).isEmpty)
+  }
+
+  test("K=2 runs a single BFS level and counts only 2-cycles") {
+    // 1<->2 plus the triangle 1->3->4->1: only the mutual pair counts.
+    val g = graphOf((1L, 2L), (2L, 1L), (1L, 3L), (3L, 4L), (4L, 1L))
+    val s = cr(g, 1L, 2)
+    assert(s.keySet == Set(1L, 2L))
+    assertClose(s(1L), e(2)); assertClose(s(2L), e(2))
+  }
+
+  test("complete digraph K6, K=5: counts match closed forms") {
+    // In the complete digraph on m vertices there are (m-1)!/(m-n)!
+    // n-cycles through r, and (n-1)(m-2)!/(m-n)! of them contain i.
+    val m = 6
+    def fact(x: Int): Long = (1 to x).map(_.toLong).product
+    val es = for (i <- 0L until m; j <- 0L until m if i != j) yield (i, j)
+    val s = cr(graphOfSeq(es), 0L, 5, Scoring.Constant)
+    val throughR = (2 to 5).map(n => fact(m - 1) / fact(m - n)).sum
+    val withI = (2 to 5).map(n => (n - 1) * fact(m - 2) / fact(m - n)).sum
+    assert(throughR == 205 && withI == 141)
+    assert(s(0L) == throughR.toDouble)
+    (1L until m).foreach(i => assert(s(i) == withI.toDouble))
+  }
+
+  test("support edges are collected up to the driver limit") {
+    val g = graphOf((1L, 2L), (2L, 1L), (2L, 3L), (3L, 1L), (3L, 4L))
+    val got = CycleRank.supportEdges(g, Set(1L, 2L, 3L), ref = 1L, k = 3, limit = 4)
+    assert(got.toSet == Set((1L, 2L), (2L, 1L), (2L, 3L), (3L, 1L)))
+    val ex = intercept[IllegalArgumentException](
+      CycleRank.supportEdges(g, Set(1L, 2L, 3L), ref = 1L, k = 3, limit = 3))
+    Seq("reference 1", "K=3", "more than 3 edges").foreach(w => assert(ex.getMessage.contains(w)))
   }
 
   // Batch: brute-force reference, multiple K and scorings.
@@ -139,13 +178,6 @@ class CycleRankSpec extends SparkSpec with GraphTestKit {
          |SELECT m.id AS id, SUM(exp(-CAST(m.n AS DOUBLE))) AS score
          |FROM members m GROUP BY m.id""".stripMargin
     Oracle.assertEquivalent(got, sql, "edges" -> g.edges)
-  }
-
-  test("runMany stacks per-reference results") {
-    val g = graphOf((1L, 2L), (2L, 1L), (3L, 4L), (4L, 3L))
-    val df = CycleRank.runMany(g, Seq(1L, 3L), CycleRank.Config(3))
-    val rows = df.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSet
-    assert(rows == Set((1L, 1L, e(2)), (1L, 2L, e(2)), (3L, 3L, e(2)), (3L, 4L, e(2))))
   }
 
   test("pruning does not lose distant cycles exactly at the K boundary") {

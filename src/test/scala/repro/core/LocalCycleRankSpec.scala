@@ -39,6 +39,17 @@ class LocalCycleRankSpec extends SparkSpec with GraphTestKit {
     assertClose(s(1L), e(2)); assertClose(s(2L), e(2))
   }
 
+  test("scores do not depend on edge order") {
+    val es  = Reference.randomReciprocalGraph(n = 16, m = 60, seed = 811)
+    val cfg = CycleRank.Config(5)
+    val base = LocalCycleRank.runOnEdges(es, es.head._1, cfg)
+    assert(base.nonEmpty)
+    for (seed <- 1 to 3) {
+      val shuffled = new scala.util.Random(seed).shuffle(es)
+      assert(LocalCycleRank.runOnEdges(shuffled, es.head._1, cfg) == base)
+    }
+  }
+
   test("scoring function is honoured") {
     val es = Seq((1L, 2L), (2L, 1L))
     val s = LocalCycleRank.runOnEdges(es, 1L, CycleRank.Config(2, Scoring.Constant))

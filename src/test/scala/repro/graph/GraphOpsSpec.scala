@@ -96,6 +96,35 @@ class GraphOpsSpec extends SparkSpec with GraphTestKit {
     assert(d == Map(1L -> 0, 2L -> 1))
   }
 
+  test("bfsDistances matches DuckDB recursive-CTE oracle on a random graph") {
+    val es = repro.core.Reference.randomGraph(n = 30, m = 70, seed = 17)
+    val g = graphOfSeq(es)
+    val src = es.head._1
+    val d = GraphOps.bfsDistances(g, src, 4)
+    assert(d.where(col("dist") >= 3).count() > 0, "the BFS should run several levels")
+    Oracle.assertEquivalent(
+      d,
+      s"""WITH RECURSIVE e AS (
+        |  SELECT CAST(src AS BIGINT) src, CAST(dst AS BIGINT) dst FROM edges
+        |), reach(id, dist) AS (
+        |  SELECT CAST($src AS BIGINT), 0
+        |  UNION ALL
+        |  SELECT e.dst, r.dist + 1 FROM reach r JOIN e ON r.id = e.src WHERE r.dist < 4
+        |)
+        |SELECT id, MIN(dist) AS dist FROM reach GROUP BY id""".stripMargin,
+      "edges" -> g.edges)
+  }
+
+  test("cappedBfs advances both directions: backward equals forward on the transpose") {
+    val es = repro.core.Reference.randomGraph(n = 30, m = 70, seed = 23)
+    val g = graphOfSeq(es)
+    val src = es.map(_._1).find(v => es.exists(_._2 == v)).get
+    val (fwd, bwd) = GraphOps.cappedBfs(g, src, 3)
+    assert(fwd == GraphOps.cappedBfs(g, src, 3, backward = false)._1)
+    assert(bwd == GraphOps.cappedBfs(g.transpose, src, 3, backward = false)._1)
+    assert(fwd.size > 1 && bwd.size > 1)
+  }
+
   test("fromLabeledEdges assigns deterministic ids by sorted label") {
     val g = DirectedGraph.fromLabeledEdges(spark, Seq(("b", "a"), ("a", "c")))
     val labels = g.labels.get.collect().map(r => r.getLong(0) -> r.getString(1)).toMap
