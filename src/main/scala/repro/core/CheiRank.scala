@@ -10,13 +10,11 @@ import repro.graph.DirectedGraph
   */
 object CheiRank {
 
-  /** Global CheiRank: PR(Gᵀ). Returns `(id, score)`. */
+  /** CheiRank: PR(Gᵀ), personalized when `cfg.teleport` is set. Returns
+    * `(id, score)`.
+    */
   def run(g: DirectedGraph, cfg: PageRank.Config = PageRank.Config()): DataFrame =
     PageRank.run(g.transpose, cfg)
-
-  /** GraphX engine on the transpose. */
-  def runGraphX(g: DirectedGraph, cfg: PageRank.Config = PageRank.Config()): DataFrame =
-    PageRank.runGraphX(g.transpose, cfg)
 
   /** Personalized CheiRank around a single reference node. */
   def personalized(g: DirectedGraph, ref: Long, alpha: Double,

@@ -1,13 +1,13 @@
 package repro.core
 
-import org.apache.spark.graphx.VertexId
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.HashPartitioner
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.graph.{DirectedGraph, GraphOps, GraphXBridge}
+import repro.graph.DirectedGraph
 
 /** PageRank and Personalized PageRank (paper §II).
   *
-  * Semantics (identical across both engines, see DESIGN.md):
+  * Semantics (see DESIGN.md):
   *  - damping factor α = probability of following an out-link; with
   *    probability 1−α the walker teleports to the teleport distribution
   *    (uniform for global PageRank, concentrated on the reference set for
@@ -17,10 +17,9 @@ import repro.graph.{DirectedGraph, GraphOps, GraphXBridge}
   *  - iteration stops when the L1 change drops below `tol` or after
   *    `maxIter` sweeps.
   *
-  * Two engines are provided: a Catalyst/DataFrame power iteration
-  * ([[run]]) and a GraphX pregel-style `aggregateMessages` loop
-  * ([[runGraphX]]); tests assert they agree with each other and with a
-  * dense in-memory reference.
+  * [[run]] is the engine; [[step]] is the same sweep as a DataFrame, which
+  * the DuckDB oracle checks with plain SQL and tests iterate against
+  * [[run]].
   */
 object PageRank {
 
@@ -37,24 +36,7 @@ object PageRank {
       teleport: Seq[Long] = Seq.empty) {
     require(alpha >= 0 && alpha <= 1, s"alpha must be in [0,1], got $alpha")
     require(maxIter >= 1, "maxIter must be positive")
-  }
-
-  /** Teleport probability per vertex as a `(id, t)` DataFrame. */
-  private def teleportVector(g: DirectedGraph, cfg: Config): DataFrame = {
-    val verts = g.vertices
-    if (cfg.teleport.isEmpty) {
-      val n = verts.count()
-      verts.withColumn("t", lit(1.0 / n))
-    } else {
-      val spark = g.edges.sparkSession
-      import spark.implicits._
-      val refs = cfg.teleport.distinct
-      val refDf = refs.toDF("id")
-      require(refDf.join(verts, Seq("id")).count() == refs.size,
-        s"teleport set ${cfg.teleport} contains vertices absent from the graph")
-      verts.join(refDf.withColumn("t0", lit(1.0 / refs.size)), Seq("id"), "left")
-        .select(col("id"), coalesce(col("t0"), lit(0.0)).as("t"))
-    }
+    require(tol >= 0 && !tol.isInfinite, s"tol must be finite and non-negative, got $tol")
   }
 
   /** One power-iteration sweep, exposed so the DuckDB oracle can verify it
@@ -79,83 +61,71 @@ object PageRank {
           .as("score"))
   }
 
-  /** DataFrame power iteration. Returns `(id, score)`, scores summing to 1.
+  /** A vertex of the iteration: teleport probability, whether it is
+    * dangling, its score, and how much the last sweep changed that score.
+    */
+  private final case class Vertex(t: Double, dangling: Boolean, score: Double, change: Double)
+
+  /** Power iteration over pair RDDs. Returns `(id, score)`, scores summing
+    * to 1.
     *
-    * Each sweep ends in an eager `localCheckpoint`: iterative DataFrames
-    * otherwise re-reference ever-deeper logical plans and Catalyst
-    * analysis cost grows multiplicatively with the sweep count.
+    * The adjacency `(src, dsts)` and the vertex state are partitioned once
+    * by one `HashPartitioner` with the session's
+    * `spark.sql.shuffle.partitions` parts, and the adjacency is
+    * checkpointed, so a sweep joins scores with it without a shuffle; the
+    * only shuffle is the `reduceByKey` of the contributions. Each sweep's
+    * one action is an `aggregate` over the checkpointed new state, which
+    * returns the L1 change and the dangling mass that the next sweep
+    * spreads over the teleport vector. Only the newest state stays
+    * persisted; the returned frame reads it.
     */
   def run(g: DirectedGraph, cfg: Config = Config()): DataFrame = {
-    val tele = teleportVector(g, cfg)
-    val deg  = GraphOps.outDegrees(g)
-    var state = tele.join(deg, Seq("id"))
-      .select(col("id"), col("t"), col("outdeg"), col("t").as("score"))
-      .localCheckpoint(eager = true)
-    var it = 0
-    var delta = Double.MaxValue
-    while (it < cfg.maxIter && delta > cfg.tol) {
-      val next = step(state, g.edges, cfg.alpha).localCheckpoint(eager = true)
-      delta = next.join(state.select(col("id"), col("score").as("prev")), Seq("id"))
-        .agg(sum(abs(col("score") - col("prev")))).head().getDouble(0)
-      state.unpersist()
-      state = next
-      it += 1
-    }
-    state.select(col("id"), col("score"))
-  }
-
-  /** GraphX engine: same math as [[run]] as a pregel-style
-    * message-passing loop over the GraphX-loaded graph — per sweep,
-    * every vertex sends `score/outdeg` along its out-edges, messages are
-    * summed at the destination, and a global dangling aggregate completes
-    * the sweep. The running score RDD is localCheckpoint-ed per sweep;
-    * chained GraphX `outerJoinVertices` graphs would otherwise recompute
-    * every prior sweep once their parents are unpersisted.
-    */
-  def runGraphX(g: DirectedGraph, cfg: Config = Config()): DataFrame = {
     val spark = g.edges.sparkSession
-    val sc = spark.sparkContext
-    val tele: Map[VertexId, Double] = {
-      import spark.implicits._
-      teleportVector(g, cfg).as[(Long, Double)].collect().toMap
-    }
-    val base = GraphXBridge.toGraphX(g)
-    val deg: Map[VertexId, Int] =
-      base.outDegrees.collect().toMap.withDefaultValue(0)
-    val bcDeg = sc.broadcast(deg)
-
-    // Static structure, cached once: out-edges keyed by source.
-    val links = base.edges.map(e => (e.srcId, e.dstId)).cache()
-    links.count()
-    val vertT = sc.parallelize(tele.toSeq, math.max(1, links.getNumPartitions)).cache()
-
-    // map(identity) so the first sweep's unpersist cannot evict vertT
-    var scores = vertT.map(identity).localCheckpoint()
-    scores.count()
-    var it = 0
-    var delta = Double.MaxValue
-    val alpha = cfg.alpha
-    while (it < cfg.maxIter && delta > cfg.tol) {
-      val dangling = scores
-        .filter { case (id, _) => bcDeg.value(id) == 0 }
-        .map(_._2).fold(0.0)(_ + _)
-      val contribs = links.join(scores)
-        .map { case (src, (dst, s)) => (dst, s / bcDeg.value(src)) }
-        .reduceByKey(_ + _)
-      val prev = scores
-      scores = vertT.leftOuterJoin(contribs)
-        .map { case (id, (t, c)) =>
-          (id, (1 - alpha) * t + alpha * (c.getOrElse(0.0) + dangling * t))
-        }
-        .localCheckpoint()
-      delta = scores.join(prev)
-        .map { case (_, (a, b)) => math.abs(a - b) }
-        .fold(0.0)(_ + _)
-      prev.unpersist(blocking = false)
-      it += 1
-    }
     import spark.implicits._
-    scores.toDF("id", "score")
+    val part = new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
+    val refs = cfg.teleport.toSet
+    val adj = g.edges.rdd.map(r => (r.getLong(0), r.getLong(1)))
+      .groupByKey(part).mapValues(_.toArray).localCheckpoint()
+    // Teleport weight 1 on every vertex (global) or on the references;
+    // the probability is the weight over the weights' sum.
+    val weighted = g.vertices.rdd
+      .map { r => val id = r.getLong(0); (id, if (refs.isEmpty || refs(id)) 1.0 else 0.0) }
+      .partitionBy(part).leftOuterJoin(adj)
+      .mapValues { case (w, out) => (w, out.isEmpty) }
+    try {
+      val (wSum, wDangling) = weighted.values.aggregate((0.0, 0.0))(
+        { case ((s, d), (w, dangling)) => (s + w, if (dangling) d + w else d) },
+        { case ((s1, d1), (s2, d2)) => (s1 + s2, d1 + d2) })
+      require(refs.isEmpty || wSum == refs.size,
+        s"teleport set ${cfg.teleport} contains vertices absent from the graph")
+      val scale = 1.0 / wSum
+      var state = weighted.mapValues { case (w, dangling) =>
+        Vertex(w * scale, dangling, w * scale, 0.0)
+      }
+      var danglingMass = wDangling * scale
+      var it = 0
+      var delta = Double.MaxValue
+      val alpha = cfg.alpha
+      while (it < cfg.maxIter && delta > cfg.tol) {
+        val contribs = adj.join(state).values
+          .flatMap { case (dsts, v) => val c = v.score / dsts.length; dsts.iterator.map(d => (d, c)) }
+          .reduceByKey(part, _ + _)
+        val m = danglingMass
+        val next = state.leftOuterJoin(contribs).mapValues { case (v, c) =>
+          val s = (1 - alpha) * v.t + alpha * (c.getOrElse(0.0) + m * v.t)
+          Vertex(v.t, v.dangling, s, math.abs(s - v.score))
+        }.localCheckpoint()
+        val (d, dm) = next.values.aggregate((0.0, 0.0))(
+          (acc, v) => (acc._1 + v.change, if (v.dangling) acc._2 + v.score else acc._2),
+          (a, b) => (a._1 + b._1, a._2 + b._2))
+        state.unpersist(blocking = false)
+        state = next
+        delta = d
+        danglingMass = dm
+        it += 1
+      }
+      state.map { case (id, v) => (id, v.score) }.toDF("id", "score")
+    } finally adj.unpersist(blocking = false)
   }
 
   /** Convenience: personalized PageRank around a single reference node. */

@@ -38,8 +38,7 @@ object AlgorithmRegistry {
     "cheirank" -> ((g, params) =>
       CheiRank.run(g, prConfig(params))),
     "personalized-cheirank" -> ((g, params) =>
-      PageRank.run(g.transpose,
-        prConfig(params).copy(teleport = Seq(p(params, "ref").toLong)))),
+      CheiRank.run(g, prConfig(params).copy(teleport = Seq(p(params, "ref").toLong)))),
     "2drank" -> ((g, params) => {
       val c = prConfig(params)
       TwoDRank.run(g, c.alpha, c.maxIter, c.tol).select("id", "score")

@@ -43,10 +43,4 @@ class CheiRankSpec extends SparkSpec with GraphTestKit {
     val s = scoresMap(CheiRank.personalized(g, ref = 3L, alpha = 0.5, maxIter = 25))
     assert(s(3L) > s(2L) && s(2L) > s(1L), s"transpose chain decay violated: $s")
   }
-
-  test("GraphX engine agrees with DataFrame engine") {
-    val g = graphOfSeq(Reference.randomGraph(18, 60, seed = 820))
-    val cfg = PageRank.Config(maxIter = 15, tol = 0.0)
-    assertMapsClose(scoresMap(CheiRank.run(g, cfg)), scoresMap(CheiRank.runGraphX(g, cfg)), 1e-8)
-  }
 }

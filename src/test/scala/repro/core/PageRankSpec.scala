@@ -4,8 +4,8 @@ import repro.{Oracle, SparkSpec}
 import repro.graph.{DirectedGraph, GraphOps}
 
 /** Global PageRank: closed-form cases, conservation laws, the dense
-  * in-memory reference, the GraphX engine, and the DuckDB oracle for a
-  * single power-iteration step.
+  * in-memory reference, the DuckDB oracle for a single power-iteration
+  * step, and the engine against iterated steps.
   */
 class PageRankSpec extends SparkSpec with GraphTestKit {
 
@@ -66,13 +66,62 @@ class PageRankSpec extends SparkSpec with GraphTestKit {
     }
   }
 
-  // Batch: GraphX engine vs DataFrame engine.
-  for (seed <- 1 to 3) {
-    test(s"GraphX engine agrees with DataFrame engine seed=$seed") {
-      val g = graphOfSeq(Reference.randomGraph(n = 25, m = 90, seed = 50 + seed))
-      val cfg = PageRank.Config(maxIter = 15, tol = 0.0)
-      assertMapsClose(scoresMap(PageRank.run(g, cfg)), scoresMap(PageRank.runGraphX(g, cfg)), 1e-8)
+  /** `n` applications of the DuckDB-checked [[PageRank.step]], starting
+    * from the teleport vector (uniform, or 1/|refs| on each reference).
+    */
+  private def stepped(g: DirectedGraph, alpha: Double, refs: Seq[Long], n: Int): Map[Long, Double] = {
+    import org.apache.spark.sql.functions.{col, lit, when}
+    val t = if (refs.isEmpty) lit(1.0 / g.numVertices)
+            else when(col("id").isin(refs: _*), lit(1.0 / refs.size)).otherwise(lit(0.0))
+    var state = GraphOps.outDegrees(g).withColumn("t", t).withColumn("score", col("t"))
+      .select("id", "t", "outdeg", "score")
+    for (_ <- 1 to n) state = PageRank.step(state, g.edges, alpha).localCheckpoint(eager = true)
+    scoresMap(state)
+  }
+
+  /** Most vertices dangling (a star whose leaves have no out-edges), plus a
+    * labelled isolated vertex 9: the dangling mass dominates every sweep.
+    */
+  private def mostlyDangling: DirectedGraph = {
+    import spark.implicits._
+    val g0 = graphOfSeq((1L to 8L).map(i => (0L, i)) :+ ((1L, 0L)))
+    DirectedGraph(g0.edges, Some((0L to 9L).map(i => (i, s"v$i")).toDF("id", "label")))
+  }
+
+  private def random51: DirectedGraph = graphOfSeq(Reference.randomGraph(n = 25, m = 90, seed = 51))
+
+  for ((name, graph, alpha, refs) <- Seq(
+         ("global PR", () => random51, 0.85, Seq.empty[Long]),
+         ("PPR", () => random51, 0.3, Seq(3L)),
+         ("global PR, mostly dangling", () => mostlyDangling, 0.85, Seq.empty[Long]),
+         ("PPR, mostly dangling", () => mostlyDangling, 0.85, Seq(2L)))) {
+    test(s"run equals n iterated steps ($name)") {
+      val g = graph()
+      val n = 12
+      val got = scoresMap(PageRank.run(g,
+        PageRank.Config(alpha = alpha, maxIter = n, tol = 0.0, teleport = refs)))
+      val exp = stepped(g, alpha, refs, n)
+      assert(got.keySet == exp.keySet)
+      assertMapsClose(got, exp, 1e-12)
     }
+  }
+
+  test("a run leaves only its result persisted, whatever the sweep count") {
+    val sc = spark.sparkContext
+    val g = graphOfSeq(Reference.randomGraph(n = 25, m = 90, seed = 52))
+    def persistedBy(maxIter: Int): (Set[Int], org.apache.spark.sql.DataFrame) = {
+      val before = sc.getPersistentRDDs.keySet
+      val result = PageRank.run(g, PageRank.Config(maxIter = maxIter, tol = 0.0))
+      result.collect()
+      (sc.getPersistentRDDs.keySet.toSet -- before, result)
+    }
+    // Both results stay referenced until the end, so the context cleaner
+    // cannot unpersist their blocks while the sets are compared.
+    val (few, r5) = persistedBy(5)
+    val (many, r30) = persistedBy(30)
+    assert(few.size == many.size, s"5 sweeps left $few persisted, 30 sweeps left $many")
+    assert(many.size <= 1, s"persisted after the run: $many")
+    assert(r5.count() == r30.count())
   }
 
   test("single power-iteration step matches DuckDB (oracle)") {
@@ -113,6 +162,13 @@ class PageRankSpec extends SparkSpec with GraphTestKit {
 
   test("invalid maxIter is rejected") {
     intercept[IllegalArgumentException](PageRank.Config(maxIter = 0))
+  }
+
+  test("NaN, negative or infinite tol is rejected with its value") {
+    for ((tol, shown) <- Seq((Double.NaN, "NaN"), (-1.0, "-1.0"), (Double.PositiveInfinity, "Infinity"))) {
+      val e = intercept[IllegalArgumentException](PageRank.Config(tol = tol))
+      assert(e.getMessage.contains(s"tol must be finite and non-negative, got $shown"), e.getMessage)
+    }
   }
 
   test("isolated labelled vertex receives only teleport mass") {

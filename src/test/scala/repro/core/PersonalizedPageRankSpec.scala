@@ -3,7 +3,7 @@ package repro.core
 import repro.SparkSpec
 
 /** Personalized PageRank: teleport concentration, reachability, dense
-  * reference, multi-reference teleport sets, engine agreement.
+  * reference, multi-reference teleport sets.
   */
 class PersonalizedPageRankSpec extends SparkSpec with GraphTestKit {
 
@@ -61,14 +61,6 @@ class PersonalizedPageRankSpec extends SparkSpec with GraphTestKit {
     assertClose(s(1L), s(3L), 1e-9)
     assertClose(s(2L), s(4L), 1e-9)
     assertClose(s.values.sum, 1.0, 1e-9)
-  }
-
-  test("GraphX engine agrees with DataFrame engine for PPR") {
-    val es = Reference.randomReciprocalGraph(n = 20, m = 60, seed = 300)
-    val g  = graphOfSeq(es)
-    val ref = g.vertices.collect().map(_.getLong(0)).min
-    val cfg = PageRank.Config(alpha = 0.3, maxIter = 20, tol = 0.0, teleport = Seq(ref))
-    assertMapsClose(scoresMap(PageRank.run(g, cfg)), scoresMap(PageRank.runGraphX(g, cfg)), 1e-8)
   }
 
   test("teleport vertex absent from the graph is rejected") {

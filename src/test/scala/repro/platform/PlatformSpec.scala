@@ -129,6 +129,20 @@ class PlatformSpec extends SparkSpec with GraphTestKit {
     } finally sched.shutdown()
   }
 
+  test("a pagerank task with tol=NaN fails and names the value") {
+    val store = newStore()
+    val sched = new Scheduler(store, workers = 1)
+    try {
+      val bad = Task("tiny", "pagerank", Map("tol" -> "NaN"))
+      sched.submit(bad)
+      sched.await(bad.id) match {
+        case TaskState.Failed(reason) =>
+          assert(reason.contains("tol must be finite and non-negative, got NaN"), reason)
+        case other => fail(s"expected Failed, got $other")
+      }
+    } finally sched.shutdown()
+  }
+
   test("resubmitting a completed task does not re-run it") {
     val store = newStore()
     val sched = new Scheduler(store, workers = 1)
