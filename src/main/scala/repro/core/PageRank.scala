@@ -61,70 +61,67 @@ object PageRank {
           .as("score"))
   }
 
-  /** A vertex of the iteration: teleport probability, whether it is
-    * dangling, its score, and how much the last sweep changed that score.
-    */
-  private final case class Vertex(t: Double, dangling: Boolean, score: Double, change: Double)
-
-  /** Power iteration over pair RDDs. Returns `(id, score)`, scores summing
-    * to 1.
+  /** Power iteration with the score vector on the driver. Returns
+    * `(id, score)`, scores summing to 1.
     *
-    * The adjacency `(src, dsts)` and the vertex state are partitioned once
-    * by one `HashPartitioner` with the session's
-    * `spark.sql.shuffle.partitions` parts, and the adjacency is
-    * checkpointed, so a sweep joins scores with it without a shuffle; the
-    * only shuffle is the `reduceByKey` of the contributions. Each sweep's
-    * one action is an `aggregate` over the checkpointed new state, which
-    * returns the L1 change and the dangling mass that the next sweep
-    * spreads over the teleport vector. Only the newest state stays
-    * persisted; the returned frame reads it.
+    * A vertex's index is its position in the sorted vertex ids. The
+    * adjacency `(srcIdx, dstIdxs)` is grouped once by one `HashPartitioner`
+    * with the session's `spark.sql.shuffle.partitions` parts and
+    * checkpointed; the scores, the teleport vector `t` and the dangling
+    * flags are dense arrays on the driver. A sweep broadcasts the scores
+    * and runs one single-stage job, in which each partition sums its
+    * `score(src)/outdeg` shares into an n-length array; the driver adds the
+    * collected arrays and applies the teleport and the dangling mass. No
+    * sweep shuffles, joins or checkpoints. The driver holds O(n) doubles,
+    * plus one n-length array per partition while it adds them; each
+    * partition holds a transient n-length array.
     */
   def run(g: DirectedGraph, cfg: Config = Config()): DataFrame = {
     val spark = g.edges.sparkSession
     import spark.implicits._
     val part = new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
-    val refs = cfg.teleport.toSet
-    val adj = g.edges.rdd.map(r => (r.getLong(0), r.getLong(1)))
-      .groupByKey(part).mapValues(_.toArray).localCheckpoint()
-    // Teleport weight 1 on every vertex (global) or on the references;
-    // the probability is the weight over the weights' sum.
-    val weighted = g.vertices.rdd
-      .map { r => val id = r.getLong(0); (id, if (refs.isEmpty || refs(id)) 1.0 else 0.0) }
-      .partitionBy(part).leftOuterJoin(adj)
-      .mapValues { case (w, out) => (w, out.isEmpty) }
+    val ids = g.vertices.as[Long].collect().sorted
+    val n = ids.length
+    val index = (id: Long) => java.util.Arrays.binarySearch(ids, id)
+    val refs = cfg.teleport.distinct.map(index)
+    require(refs.forall(_ >= 0),
+      s"teleport set ${cfg.teleport} contains vertices absent from the graph")
+    val t = new Array[Double](n)
+    if (refs.isEmpty) java.util.Arrays.fill(t, 1.0 / n) else refs.foreach(i => t(i) = 1.0 / refs.size)
+    // Groups and their targets are sorted, and the driver adds the
+    // partitions' arrays in partition order, so every run sums the same
+    // doubles in the same order whatever the shuffle's fetch order was.
+    val adj = g.edges.rdd.map(r => (index(r.getLong(0)), index(r.getLong(1)))).groupByKey(part)
+      .mapPartitions(_.map { case (src, dsts) => (src, dsts.toArray.sorted) }.toArray.sortBy(_._1).iterator)
+      .localCheckpoint()
     try {
-      val (wSum, wDangling) = weighted.values.aggregate((0.0, 0.0))(
-        { case ((s, d), (w, dangling)) => (s + w, if (dangling) d + w else d) },
-        { case ((s1, d1), (s2, d2)) => (s1 + s2, d1 + d2) })
-      require(refs.isEmpty || wSum == refs.size,
-        s"teleport set ${cfg.teleport} contains vertices absent from the graph")
-      val scale = 1.0 / wSum
-      var state = weighted.mapValues { case (w, dangling) =>
-        Vertex(w * scale, dangling, w * scale, 0.0)
-      }
-      var danglingMass = wDangling * scale
+      val dangling = Array.fill(n)(true)
+      adj.keys.collect().foreach(i => dangling(i) = false)
+      var score = t.clone()
       var it = 0
       var delta = Double.MaxValue
       val alpha = cfg.alpha
       while (it < cfg.maxIter && delta > cfg.tol) {
-        val contribs = adj.join(state).values
-          .flatMap { case (dsts, v) => val c = v.score / dsts.length; dsts.iterator.map(d => (d, c)) }
-          .reduceByKey(part, _ + _)
-        val m = danglingMass
-        val next = state.leftOuterJoin(contribs).mapValues { case (v, c) =>
-          val s = (1 - alpha) * v.t + alpha * (c.getOrElse(0.0) + m * v.t)
-          Vertex(v.t, v.dangling, s, math.abs(s - v.score))
-        }.localCheckpoint()
-        val (d, dm) = next.values.aggregate((0.0, 0.0))(
-          (acc, v) => (acc._1 + v.change, if (v.dangling) acc._2 + v.score else acc._2),
-          (a, b) => (a._1 + b._1, a._2 + b._2))
-        state.unpersist(blocking = false)
-        state = next
-        delta = d
-        danglingMass = dm
+        val bScore = spark.sparkContext.broadcast(score)
+        val partials = adj.mapPartitions { groups =>
+          val s = bScore.value
+          val c = new Array[Double](n)
+          groups.foreach { case (src, dsts) =>
+            val share = s(src) / dsts.length
+            dsts.foreach(d => c(d) += share)
+          }
+          Iterator.single(c)
+        }.collect()
+        bScore.destroy()
+        val contrib = new Array[Double](n)
+        partials.foreach(c => for (i <- 0 until n) contrib(i) += c(i))
+        val m = (0 until n).iterator.filter(i => dangling(i)).map(i => score(i)).sum
+        val next = Array.tabulate(n)(i => (1 - alpha) * t(i) + alpha * (contrib(i) + m * t(i)))
+        delta = (0 until n).iterator.map(i => math.abs(next(i) - score(i))).sum
+        score = next
         it += 1
       }
-      state.map { case (id, v) => (id, v.score) }.toDF("id", "score")
+      ids.zip(score).toSeq.toDF("id", "score")
     } finally adj.unpersist(blocking = false)
   }
 

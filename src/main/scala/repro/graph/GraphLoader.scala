@@ -89,11 +89,12 @@ object GraphLoader {
       .toDF("lineno", "line")
       .where(length(col("line")) > 0)
       .cache()
-    val header = indexed.orderBy("lineno").select("line").head().getString(0)
+    val first = indexed.orderBy("lineno").head()
+    val (headerLine, header) = (first.getLong(0), first.getString(1))
     val hp = header.split("\\s+")
     require(hp.length == 2, s"ASD $path: header must be 'N M', got '$header'")
     val (n, m) = (hp(0).toLong, hp(1).toLong)
-    val body = indexed.where(col("lineno") > 0)
+    val body = indexed.where(col("lineno") > headerLine)
       .select(split(col("line"), "\\s+").as("p"))
       .select(element_at(col("p"), 1).cast("long").as("src"),
               element_at(col("p"), 2).cast("long").as("dst"))

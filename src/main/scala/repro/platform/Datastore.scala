@@ -25,12 +25,14 @@ final class Datastore(val root: Path, spark: SparkSession) {
     * extension, matching the demo's supported upload formats.
     */
   def uploadDataset(name: String, sourceFile: Path): Unit = {
+    checkName(name)
     val ext = extensionOf(sourceFile.getFileName.toString)
     Files.copy(sourceFile, datasetsDir.resolve(s"$name.$ext"))
   }
 
   /** Register an in-memory graph as an edgelist-CSV dataset. */
   def putDataset(name: String, g: DirectedGraph): Unit = {
+    checkName(name)
     val rows = g.edges.select(col("src"), col("dst")).collect()
       .map(r => s"${r.getLong(0)},${r.getLong(1)}")
     Files.write(datasetsDir.resolve(s"$name.csv"), rows.toSeq.asJava)
@@ -45,14 +47,17 @@ final class Datastore(val root: Path, spark: SparkSession) {
     Files.list(datasetsDir).iterator().asScala
       .map(_.getFileName.toString)
       .filterNot(_.endsWith(".labels"))
-      .map(f => f.substring(0, f.lastIndexOf('.')))
+      .map(baseName)
       .toSet
 
-  /** Load a dataset by name, dispatching on its stored format. */
+  /** Load a dataset by name, dispatching on its stored format. Only a
+    * file whose name minus its extension is exactly `name` matches.
+    */
   def loadDataset(name: String): DirectedGraph = {
+    checkName(name)
     val file = Files.list(datasetsDir).iterator().asScala
       .filterNot(_.getFileName.toString.endsWith(".labels"))
-      .find(_.getFileName.toString.startsWith(s"$name."))
+      .find(f => baseName(f.getFileName.toString) == name)
       .getOrElse(throw new IllegalArgumentException(s"dataset '$name' not found"))
     val path = file.toString
     val g = extensionOf(path) match {
@@ -104,6 +109,12 @@ final class Datastore(val root: Path, spark: SparkSession) {
     val f = logsDir.resolve(s"$taskId.log")
     if (Files.exists(f)) Files.readAllLines(f).asScala.toSeq else Seq.empty
   }
+
+  private def checkName(name: String): Unit =
+    require(!name.contains('/') && !name.contains('\\'),
+      s"dataset '$name' must not contain a path separator")
+
+  private def baseName(file: String): String = file.substring(0, file.lastIndexOf('.'))
 
   private def extensionOf(name: String): String = {
     val i = name.lastIndexOf('.')

@@ -51,7 +51,9 @@ final class Scheduler(store: Datastore, workers: Int = 2) {
             states.put(task.id, TaskState.Done)
           } catch {
             case e: Throwable =>
-              store.appendLog(task.id, s"failed: ${e.getMessage}")
+              val trace = new java.io.StringWriter
+              e.printStackTrace(new java.io.PrintWriter(trace))
+              store.appendLog(task.id, s"failed: $trace")
               states.put(task.id, TaskState.Failed(String.valueOf(e.getMessage)))
           }
         }

@@ -106,22 +106,45 @@ class PageRankSpec extends SparkSpec with GraphTestKit {
     }
   }
 
-  test("a run leaves only its result persisted, whatever the sweep count") {
+  test("a run leaves no persistent RDD, whatever the sweep count") {
     val sc = spark.sparkContext
     val g = graphOfSeq(Reference.randomGraph(n = 25, m = 90, seed = 52))
-    def persistedBy(maxIter: Int): (Set[Int], org.apache.spark.sql.DataFrame) = {
+    def persistedBy(maxIter: Int): Set[Int] = {
       val before = sc.getPersistentRDDs.keySet
-      val result = PageRank.run(g, PageRank.Config(maxIter = maxIter, tol = 0.0))
-      result.collect()
-      (sc.getPersistentRDDs.keySet.toSet -- before, result)
+      PageRank.run(g, PageRank.Config(maxIter = maxIter, tol = 0.0)).collect()
+      sc.getPersistentRDDs.keySet.toSet -- before
     }
-    // Both results stay referenced until the end, so the context cleaner
-    // cannot unpersist their blocks while the sets are compared.
-    val (few, r5) = persistedBy(5)
-    val (many, r30) = persistedBy(30)
-    assert(few.size == many.size, s"5 sweeps left $few persisted, 30 sweeps left $many")
-    assert(many.size <= 1, s"persisted after the run: $many")
-    assert(r5.count() == r30.count())
+    for (maxIter <- Seq(5, 30)) {
+      val left = persistedBy(maxIter)
+      assert(left.isEmpty, s"persisted after a run of $maxIter sweeps: $left")
+    }
+  }
+
+  test("non-contiguous ids match the dense reference") {
+    val ids = Seq(-7L, 3L, 1000000000000L, Long.MaxValue - 1, 0L)
+    val es = Reference.randomGraph(n = 5, m = 12, seed = 53).map { case (s, d) =>
+      (ids(s.toInt), ids(d.toInt))
+    }
+    val g = graphOfSeq(es)
+    val verts = g.vertices.collect().map(_.getLong(0)).toSeq
+    for (refs <- Seq(Seq.empty[Long], Seq(1000000000000L))) {
+      val got = scoresMap(PageRank.run(g,
+        PageRank.Config(alpha = 0.85, maxIter = 20, tol = 0.0, teleport = refs)))
+      val exp = Reference.pageRank(es, verts, alpha = 0.85, teleport = refs, iters = 20)
+      assert(got.keySet == exp.keySet)
+      assertMapsClose(got, exp, 1e-8)
+    }
+  }
+
+  test("labelled isolated vertices without edges return the teleport vector") {
+    import spark.implicits._
+    val g = DirectedGraph(Seq.empty[(Long, Long)].toDF("src", "dst"),
+      Some((1L to 4L).map(i => (i, s"v$i")).toDF("id", "label")))
+    val global = scoresMap(PageRank.run(g))
+    assert(global.keySet == (1L to 4L).toSet)
+    global.values.foreach(v => assertClose(v, 0.25, 1e-12))
+    val ppr = scoresMap(PageRank.run(g, PageRank.Config(teleport = Seq(2L))))
+    assertMapsClose(ppr, Map(1L -> 0.0, 2L -> 1.0, 3L -> 0.0, 4L -> 0.0), 1e-12)
   }
 
   test("single power-iteration step matches DuckDB (oracle)") {

@@ -63,6 +63,13 @@ class PersonalizedPageRankSpec extends SparkSpec with GraphTestKit {
     assertClose(s.values.sum, 1.0, 1e-9)
   }
 
+  test("a duplicated teleport id counts once") {
+    val g = graphOf((1L, 2L), (2L, 3L), (3L, 1L), (3L, 4L))
+    def ppr(refs: Seq[Long]) =
+      scoresMap(PageRank.run(g, PageRank.Config(alpha = 0.85, maxIter = 20, teleport = refs)))
+    assert(ppr(Seq(3L, 3L)) == ppr(Seq(3L)))
+  }
+
   test("teleport vertex absent from the graph is rejected") {
     val g = graphOf((1L, 2L), (2L, 1L))
     intercept[IllegalArgumentException] {

@@ -93,6 +93,11 @@ class GraphLoaderSpec extends SparkSpec with GraphTestKit {
       Set((0L, 1L), (1L, 2L), (2L, 0L)))
   }
 
+  test("asd: leading blank lines before the header") {
+    val f = tmpFile("g.asd", Seq("", "  ", "3 2", "0 1", "", "1 2"))
+    assert(edgeSet(GraphLoader.asd(spark, f.toString)) == Set((0L, 1L), (1L, 2L)))
+  }
+
   test("asd: wrong edge count is rejected") {
     val f = tmpFile("g.asd", Seq("4 5", "0 1", "1 2"))
     intercept[IllegalArgumentException](GraphLoader.asd(spark, f.toString))

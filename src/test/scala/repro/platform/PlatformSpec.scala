@@ -70,6 +70,27 @@ class PlatformSpec extends SparkSpec with GraphTestKit {
     intercept[IllegalArgumentException](store.loadDataset("missing"))
   }
 
+  test("datastore loads a dataset only by its exact name") {
+    val store = Datastore.temp(spark)
+    store.putDataset("wiki.en", graphOf((1L, 2L), (2L, 1L)))
+    val e = intercept[IllegalArgumentException](store.loadDataset("wiki"))
+    assert(e.getMessage.contains("dataset 'wiki' not found"), e.getMessage)
+    assert(store.loadDataset("wiki.en").edges.count() == 2)
+  }
+
+  test("datastore rejects dataset names with a path separator") {
+    val store = Datastore.temp(spark)
+    val g = graphOf((1L, 2L))
+    for (name <- Seq("../escape", "a/b", "a\\b")) {
+      for (call <- Seq(() => store.loadDataset(name), () => store.putDataset(name, g))) {
+        val e = intercept[IllegalArgumentException](call())
+        assert(e.getMessage.contains(s"dataset '$name' must not contain a path separator"),
+          e.getMessage)
+      }
+    }
+    assert(!java.nio.file.Files.exists(store.root.resolve("escape.csv")))
+  }
+
   test("end-to-end: scheduled pagerank equals direct invocation") {
     val store = newStore()
     val sched = new Scheduler(store, workers = 2)
@@ -125,7 +146,9 @@ class PlatformSpec extends SparkSpec with GraphTestKit {
         case TaskState.Failed(_) => // expected
         case other => fail(s"expected Failed, got $other")
       }
-      assert(store.readLog(bad.id).exists(_.contains("failed")))
+      val log = store.readLog(bad.id)
+      assert(log.exists(_.contains("failed")))
+      assert(log.exists(_.contains("java.lang.IllegalArgumentException")), log.mkString("\n"))
     } finally sched.shutdown()
   }
 
