@@ -31,7 +31,7 @@ class BenchScaling extends SparkSpec {
         CycleRank.run(g, ref, CycleRank.Config(3)).count())
       val (crL, tCrL) = timeMs(LocalCycleRank.run(g, ref, CycleRank.Config(3)).size)
       val (_, tPpr) = timeMs(
-        PageRank.personalized(g, ref, 0.85, maxIter = 20, tol = 1e-6).count())
+        PageRank.run(g, PageRank.Config(maxIter = 20, tol = 1e-6, teleport = Seq(ref))).count())
       g.edges.unpersist()
       f"| $sf%5.2f | $n%8d | $m%9d | $tCrD%8d | $tCrL%8d | $tPpr%8d | $crD%6d | $crL%6d |"
     }

@@ -15,9 +15,4 @@ object CheiRank {
     */
   def run(g: DirectedGraph, cfg: PageRank.Config = PageRank.Config()): DataFrame =
     PageRank.run(g.transpose, cfg)
-
-  /** Personalized CheiRank around a single reference node. */
-  def personalized(g: DirectedGraph, ref: Long, alpha: Double,
-                   maxIter: Int = 60, tol: Double = 1e-10): DataFrame =
-    PageRank.personalized(g.transpose, ref, alpha, maxIter, tol)
 }

@@ -35,7 +35,7 @@ object PageRank {
       tol: Double = 1e-10,
       teleport: Seq[Long] = Seq.empty) {
     require(alpha >= 0 && alpha <= 1, s"alpha must be in [0,1], got $alpha")
-    require(maxIter >= 1, "maxIter must be positive")
+    require(maxIter >= 1, s"maxIter must be positive, got $maxIter")
     require(tol >= 0 && !tol.isInfinite, s"tol must be finite and non-negative, got $tol")
   }
 
@@ -124,9 +124,4 @@ object PageRank {
       ids.zip(score).toSeq.toDF("id", "score")
     } finally adj.unpersist(blocking = false)
   }
-
-  /** Convenience: personalized PageRank around a single reference node. */
-  def personalized(g: DirectedGraph, ref: Long, alpha: Double,
-                   maxIter: Int = 60, tol: Double = 1e-10): DataFrame =
-    run(g, Config(alpha = alpha, maxIter = maxIter, tol = tol, teleport = Seq(ref)))
 }

@@ -37,18 +37,10 @@ object TwoDRank {
                    col("k"), col("kstar"))
   }
 
-  /** Global 2DRank with damping α for both underlying rankings. */
-  def run(g: DirectedGraph, alpha: Double = 0.85,
-          maxIter: Int = 60, tol: Double = 1e-10): DataFrame = {
-    val cfg = PageRank.Config(alpha = alpha, maxIter = maxIter, tol = tol)
-    combine(PageRank.run(g, cfg), CheiRank.run(g, cfg))
-  }
-
-  /** Personalized 2DRank: combines Personalized PageRank and Personalized
-    * CheiRank around `ref`.
+  /** 2DRank from PageRank and CheiRank under the same `cfg`; personalized
+    * (Personalized PageRank and Personalized CheiRank) when `cfg.teleport`
+    * is set.
     */
-  def personalized(g: DirectedGraph, ref: Long, alpha: Double = 0.85,
-                   maxIter: Int = 60, tol: Double = 1e-10): DataFrame =
-    combine(PageRank.personalized(g, ref, alpha, maxIter, tol),
-            CheiRank.personalized(g, ref, alpha, maxIter, tol))
+  def run(g: DirectedGraph, cfg: PageRank.Config = PageRank.Config()): DataFrame =
+    combine(PageRank.run(g, cfg), CheiRank.run(g, cfg))
 }

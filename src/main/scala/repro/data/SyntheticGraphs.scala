@@ -2,13 +2,12 @@ package repro.data
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.SynthData
+import org.apache.spark.sql.types.LongType
 import repro.graph.{DirectedGraph, GraphOps}
 
 /** Scale-parameterised synthetic directed graphs standing in for the
   * demo's dataset families (DESIGN.md, substitutions). All generators are
-  * deterministic in `(sf, seed)`, like the provided [[repro.SynthData]]
-  * TPC-H-lite tables, and funnel through [[GraphOps.clean]].
+  * deterministic in `(sf, seed)` and funnel through [[GraphOps.clean]].
   *
   * Structure shared by all three families:
   *  - a zipf-skewed "popularity" edge pool (heavy-tailed in-degree; the
@@ -40,9 +39,25 @@ object SyntheticGraphs {
     fwd.union(back)
   }
 
+  /** `rows` zipf-skewed keys `k` in `[1, nKeys]` (rank weights `1/k^alpha`)
+    * with a uniform value `v`.
+    */
+  private[data] def zipfKeys(spark: SparkSession, rows: Long, nKeys: Long,
+                             alpha: Double = 1.1, seed: Long = 3): DataFrame = {
+    // Inverse-CDF draw over rank weights 1/k^alpha; good enough for skew.
+    val norm = (1L to math.min(nKeys, 10000L)).map(k => 1.0 / math.pow(k, alpha)).sum
+    spark.range(rows).select(
+      least(lit(nKeys),
+            greatest(lit(1L),
+              pow(lit(1.0) / (rand(seed) * norm + 1e-9), lit(1.0 / alpha)).cast(LongType)
+            )) as "k",
+      rand(seed + 1) as "v",
+    )
+  }
+
   private def popularityEdges(spark: SparkSession, n: Long, rows: Long,
                               alpha: Double, seed: Long): DataFrame = {
-    val zipfDst = SynthData.zipfKeys(spark, rows, n, alpha, seed)
+    val zipfDst = zipfKeys(spark, rows, n, alpha, seed)
       .select((col("k") - 1).as("dst"))
     // pair each popular destination with a uniform source
     zipfDst.withColumn("src", (rand(seed + 17) * n).cast("long"))

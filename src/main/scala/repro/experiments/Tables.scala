@@ -33,7 +33,8 @@ object Tables {
     val perRef = for (refName <- Seq("Freddie Mercury", "Pasta")) yield {
       val ref = idOf(g, refName)
       val cr  = CycleRank.run(g, ref, CycleRank.Config(k = 3, scoring = Scoring.Exponential))
-      val ppr = PageRank.personalized(g, ref, alpha = 0.3, maxIter = 100, tol = 1e-9)
+      val ppr = PageRank.run(g,
+        PageRank.Config(alpha = 0.3, maxIter = 100, tol = 1e-9, teleport = Seq(ref)))
       Seq(
         Column(s"Cyclerank [$refName]",      TableHarness.topLabels(g, cr, 5)),
         Column(s"Pers.PageRank [$refName]",  TableHarness.topLabels(g, ppr, 5)))
@@ -53,7 +54,8 @@ object Tables {
     val perRef = for (refName <- Seq("1984", "The Fellowship of the Ring")) yield {
       val ref = idOf(g, refName)
       val cr  = CycleRank.run(g, ref, CycleRank.Config(k = 5, scoring = Scoring.Exponential))
-      val ppr = PageRank.personalized(g, ref, alpha = 0.85, maxIter = 100, tol = 1e-9)
+      val ppr = PageRank.run(g,
+        PageRank.Config(alpha = 0.85, maxIter = 100, tol = 1e-9, teleport = Seq(ref)))
       Seq(
         Column(s"Cyclerank [$refName]",     TableHarness.topLabels(g, cr, 5, Some(ref))),
         Column(s"Pers.PageRank [$refName]", TableHarness.topLabels(g, ppr, 5, Some(ref))))

@@ -8,9 +8,22 @@ import org.apache.spark.sql.functions._
   *
   * Parsing is distributed: files are read with `spark.read.text`; Pajek's
   * stateful sections are resolved by line number (only the two marker lines
-  * are collected to the driver).
+  * are collected to the driver). Ids are read with `try_cast`, so a
+  * non-numeric id becomes null and is rejected with a message naming the
+  * file, instead of failing inside Spark's ANSI cast.
   */
 object GraphLoader {
+
+  /** `(src, dst)` from the first two fields of each line, split on `sep`. */
+  private def endpoints(lines: DataFrame, sep: String): DataFrame = {
+    val p = split(col("line"), sep)
+    lines.select(element_at(p, 1).try_cast("long").as("src"),
+                 element_at(p, 2).try_cast("long").as("dst"))
+  }
+
+  private def requireNumeric(edges: DataFrame, what: String): Unit =
+    require(edges.where(col("src").isNull || col("dst").isNull).isEmpty,
+      s"$what contains non-numeric endpoints")
 
   /** Edgelist CSV: one `src,dst` pair per line; `#` comments and blank
     * lines are ignored; the separator may be a comma, semicolon, tab or
@@ -20,13 +33,8 @@ object GraphLoader {
     val lines = spark.read.text(path)
       .select(trim(col("value")).as("line"))
       .where(length(col("line")) > 0 && !col("line").startsWith("#"))
-    val parts = lines.select(split(col("line"), "[,;\\s]+").as("p"))
-    val edges = parts.select(
-      element_at(col("p"), 1).cast("long").as("src"),
-      element_at(col("p"), 2).cast("long").as("dst"))
-    require(
-      edges.where(col("src").isNull || col("dst").isNull).isEmpty,
-      s"edgelist $path contains non-numeric endpoints")
+    val edges = endpoints(lines, "[,;\\s]+")
+    requireNumeric(edges, s"edgelist $path")
     GraphOps.clean(DirectedGraph(edges))
   }
 
@@ -55,7 +63,7 @@ object GraphLoader {
     val vertexLines = indexed
       .where(col("lineno") > vStart && col("lineno") < vEnd)
     val labels = vertexLines.select(
-      regexp_extract(col("line"), "^(\\d+)", 1).cast("long").as("id"),
+      regexp_extract(col("line"), "^(\\d+)", 1).try_cast("long").as("id"),
       regexp_extract(col("line"), "\"([^\"]*)\"", 1).as("rawlabel"))
       .select(col("id"),
         when(col("rawlabel") === "", col("id").cast("string"))
@@ -65,13 +73,12 @@ object GraphLoader {
       case None => spark.emptyDataset[(Long, Long)].toDF("src", "dst")
       case Some(s) =>
         val end = sectionEnds.find(_ > s).getOrElse(Long.MaxValue)
-        indexed.where(col("lineno") > s && col("lineno") < end)
-          .select(split(col("line"), "\\s+").as("p"))
-          .select(element_at(col("p"), 1).cast("long").as("src"),
-                  element_at(col("p"), 2).cast("long").as("dst"))
+        endpoints(indexed.where(col("lineno") > s && col("lineno") < end), "\\s+")
     }
     val arcs  = pairsIn(aStart)
     val undir = pairsIn(eStart)
+    requireNumeric(arcs.union(undir), s"pajek $path")
+    require(labels.where(col("id").isNull).isEmpty, s"pajek $path: a vertex line has no numeric id")
     val edges = arcs
       .union(undir)
       .union(undir.select(col("dst").as("src"), col("src").as("dst")))
@@ -80,7 +87,8 @@ object GraphLoader {
 
   /** ASD (authors' format, spec assumed per DESIGN.md): first line `N M`,
     * then `M` lines `src dst` with 0-based ids. The header is validated
-    * against the body.
+    * against the body. The graph has all `N` vertices, isolated ones
+    * included: they are id-labelled.
     */
   def asd(spark: SparkSession, path: String): DirectedGraph = {
     import spark.implicits._
@@ -91,17 +99,16 @@ object GraphLoader {
       .cache()
     val first = indexed.orderBy("lineno").head()
     val (headerLine, header) = (first.getLong(0), first.getString(1))
-    val hp = header.split("\\s+")
+    val hp = header.split("\\s+").flatMap(_.toLongOption)
     require(hp.length == 2, s"ASD $path: header must be 'N M', got '$header'")
-    val (n, m) = (hp(0).toLong, hp(1).toLong)
-    val body = indexed.where(col("lineno") > headerLine)
-      .select(split(col("line"), "\\s+").as("p"))
-      .select(element_at(col("p"), 1).cast("long").as("src"),
-              element_at(col("p"), 2).cast("long").as("dst"))
+    val Array(n, m) = hp
+    val body = endpoints(indexed.where(col("lineno") > headerLine), "\\s+")
     require(body.count() == m, s"ASD $path: header declares $m edges")
+    requireNumeric(body, s"ASD $path")
     val bad = body.where(col("src") < 0 || col("src") >= n ||
                          col("dst") < 0 || col("dst") >= n)
     require(bad.isEmpty, s"ASD $path: edge endpoints outside [0, $n)")
-    GraphOps.clean(DirectedGraph(body))
+    val vertices = spark.range(n).select(col("id"), col("id").cast("string").as("label"))
+    GraphOps.clean(DirectedGraph(body, Some(vertices)))
   }
 }

@@ -9,56 +9,102 @@ import repro.graph.DirectedGraph
   * `(id, score)` frame.
   *
   * Parameter conventions (paper §IV-C): PageRank-family algorithms take
-  * `alpha`; personalized variants additionally take `ref`; CycleRank
-  * takes `ref`, `k` and `sigma`.
+  * `alpha`, `maxIter` and `tol`; personalized variants additionally take
+  * `ref`; CycleRank takes `ref`, `k` and `sigma`. Each entry parses the
+  * strings into its engine's typed config — [[PageRank.Config]] or
+  * [[CycleRank.Config]] — whose own defaults fill the omitted keys, and
+  * rejects unknown keys, a missing `ref` and values that do not parse or
+  * validate, naming the key and the value.
   */
 object AlgorithmRegistry {
 
   type Algorithm = (DirectedGraph, Map[String, String]) => DataFrame
 
-  private def p(params: Map[String, String], key: String): String =
-    params.getOrElse(key,
-      throw new IllegalArgumentException(s"missing required parameter '$key'"))
+  /** An entry: `parse` builds the engine's config `C` from the form
+    * parameters, `render` writes a config back as canonical strings, and
+    * `engine` runs it.
+    */
+  private final case class Entry[C](parse: Map[String, String] => C,
+                                    render: C => Map[String, String],
+                                    engine: (DirectedGraph, C) => DataFrame) {
+    def run(g: DirectedGraph, params: Map[String, String]): DataFrame = engine(g, parse(params))
+    def canonical(params: Map[String, String]): Map[String, String] = render(parse(params))
+  }
 
-  private def alphaOf(params: Map[String, String]): Double =
-    params.get("alpha").map(_.toDouble).getOrElse(0.85)
+  /** A form key and how its value sets a field of the config `C`. */
+  private type Key[C] = (String, (C, String) => C)
 
-  /** PR-family iteration knobs, overridable from the task parameters. */
-  private def prConfig(params: Map[String, String]): PageRank.Config =
-    PageRank.Config(
-      alpha = alphaOf(params),
-      maxIter = params.get("maxIter").map(_.toInt).getOrElse(60),
-      tol = params.get("tol").map(_.toDouble).getOrElse(1e-10))
+  /** Folds `params`, in key order, into `init`; every key must be one of
+    * `keys`. Parse and validation errors are rethrown naming the key and
+    * the value.
+    */
+  private def fold[C](params: Map[String, String], init: C)(keys: Seq[Key[C]]): C = {
+    val set = keys.toMap
+    params.toSeq.sorted.foldLeft(init) { case (c, (key, value)) =>
+      val f = set.getOrElse(key, throw new IllegalArgumentException(
+        s"unknown parameter $key=$value; known: ${set.keys.toSeq.sorted.mkString(", ")}"))
+      try f(c, value) catch {
+        case e: IllegalArgumentException =>
+          throw new IllegalArgumentException(s"invalid parameter $key=$value: ${e.getMessage}", e)
+      }
+    }
+  }
 
-  val algorithms: Map[String, Algorithm] = Map(
-    "pagerank" -> ((g, params) =>
-      PageRank.run(g, prConfig(params))),
-    "personalized-pagerank" -> ((g, params) =>
-      PageRank.run(g, prConfig(params).copy(teleport = Seq(p(params, "ref").toLong)))),
-    "cheirank" -> ((g, params) =>
-      CheiRank.run(g, prConfig(params))),
-    "personalized-cheirank" -> ((g, params) =>
-      CheiRank.run(g, prConfig(params).copy(teleport = Seq(p(params, "ref").toLong)))),
-    "2drank" -> ((g, params) => {
-      val c = prConfig(params)
-      TwoDRank.run(g, c.alpha, c.maxIter, c.tol).select("id", "score")
-    }),
-    "personalized-2drank" -> ((g, params) => {
-      val c = prConfig(params)
-      TwoDRank.personalized(g, p(params, "ref").toLong, c.alpha, c.maxIter, c.tol)
-        .select("id", "score")
-    }),
-    "cyclerank" -> ((g, params) =>
-      CycleRank.run(g, p(params, "ref").toLong,
-        CycleRank.Config(
-          k = params.get("k").map(_.toInt).getOrElse(3),
-          scoring = params.get("sigma").map(Scoring.byName).getOrElse(Scoring.Exponential)))),
-  )
+  private def missingRef = new IllegalArgumentException("missing required parameter 'ref'")
 
-  def names: Set[String] = algorithms.keySet
+  private val pageRankKeys: Seq[Key[PageRank.Config]] = Seq(
+    ("alpha", (c, v) => c.copy(alpha = v.toDouble)),
+    ("maxIter", (c, v) => c.copy(maxIter = v.toInt)),
+    ("tol", (c, v) => c.copy(tol = v.toDouble)))
 
-  def apply(name: String): Algorithm =
-    algorithms.getOrElse(name,
+  private val teleportKey: Key[PageRank.Config] = ("ref", (c, v) => c.copy(teleport = Seq(v.toLong)))
+
+  private def pageRankConfig(personalized: Boolean)(params: Map[String, String]): PageRank.Config = {
+    val cfg = fold(params, PageRank.Config())(
+      if (personalized) pageRankKeys :+ teleportKey else pageRankKeys)
+    if (personalized && cfg.teleport.isEmpty) throw missingRef
+    cfg
+  }
+
+  private def renderPageRank(c: PageRank.Config): Map[String, String] =
+    Map("alpha" -> c.alpha.toString, "maxIter" -> c.maxIter.toString, "tol" -> c.tol.toString) ++
+      c.teleport.map(ref => "ref" -> ref.toString)
+
+  /** The global and the personalized entry of one PageRank-family engine. */
+  private def pageRankFamily(name: String, engine: (DirectedGraph, PageRank.Config) => DataFrame) =
+    Seq(name -> Entry(pageRankConfig(personalized = false), renderPageRank, engine),
+        s"personalized-$name" -> Entry(pageRankConfig(personalized = true), renderPageRank, engine))
+
+  private def cycleRankConfig(params: Map[String, String]): (Long, CycleRank.Config) = {
+    val (ref, cfg) = fold(params, (Option.empty[Long], CycleRank.Config()))(Seq(
+      ("ref", { case ((_, c), v) => (Some(v.toLong), c) }),
+      ("k", { case ((r, c), v) => (r, c.copy(k = v.toInt)) }),
+      ("sigma", { case ((r, c), v) => (r, c.copy(scoring = Scoring.byName(v))) })))
+    (ref.getOrElse(throw missingRef), cfg)
+  }
+
+  private val entries: Map[String, Entry[_]] = Map[String, Entry[_]](
+    "cyclerank" -> Entry[(Long, CycleRank.Config)](
+      cycleRankConfig,
+      { case (ref, c) => Map("ref" -> ref.toString, "k" -> c.k.toString, "sigma" -> c.scoring.name) },
+      { case (g, (ref, c)) => CycleRank.run(g, ref, c) })) ++
+    pageRankFamily("pagerank", PageRank.run) ++
+    pageRankFamily("cheirank", CheiRank.run) ++
+    pageRankFamily("2drank", TwoDRank.run(_, _).select("id", "score"))
+
+  private def entry(name: String): Entry[_] =
+    entries.getOrElse(name,
       throw new IllegalArgumentException(
         s"unknown algorithm '$name'; known: ${names.toSeq.sorted.mkString(", ")}"))
+
+  def names: Set[String] = entries.keySet
+
+  def apply(name: String): Algorithm = entry(name).run
+
+  /** `params` parsed into `name`'s config and rendered back: every key the
+    * config has, in one spelling. Throws on what [[apply]] would reject
+    * before running.
+    */
+  def canonical(name: String, params: Map[String, String]): Map[String, String] =
+    entry(name).canonical(params)
 }

@@ -22,11 +22,13 @@ final class Datastore(val root: Path, spark: SparkSession) {
   private val logsDir     = Files.createDirectories(root.resolve("logs"))
 
   /** Register ("upload") a dataset file; format is inferred from the
-    * extension, matching the demo's supported upload formats.
+    * extension, matching the demo's supported upload formats, and an
+    * unsupported extension is rejected here.
     */
   def uploadDataset(name: String, sourceFile: Path): Unit = {
     checkName(name)
     val ext = extensionOf(sourceFile.getFileName.toString)
+    loaderFor(ext)
     Files.copy(sourceFile, datasetsDir.resolve(s"$name.$ext"))
   }
 
@@ -60,12 +62,7 @@ final class Datastore(val root: Path, spark: SparkSession) {
       .find(f => baseName(f.getFileName.toString) == name)
       .getOrElse(throw new IllegalArgumentException(s"dataset '$name' not found"))
     val path = file.toString
-    val g = extensionOf(path) match {
-      case "csv" => GraphLoader.edgeListCsv(spark, path)
-      case "net" => GraphLoader.pajek(spark, path)
-      case "asd" => GraphLoader.asd(spark, path)
-      case other => throw new IllegalArgumentException(s"unsupported dataset format .$other")
-    }
+    val g = loaderFor(extensionOf(path))(spark, path)
     val labelFile = datasetsDir.resolve(s"$name.labels")
     if (Files.exists(labelFile) && g.labels.isEmpty) {
       import spark.implicits._
@@ -108,6 +105,14 @@ final class Datastore(val root: Path, spark: SparkSession) {
   def readLog(taskId: String): Seq[String] = {
     val f = logsDir.resolve(s"$taskId.log")
     if (Files.exists(f)) Files.readAllLines(f).asScala.toSeq else Seq.empty
+  }
+
+  private def loaderFor(ext: String): (SparkSession, String) => DirectedGraph = ext match {
+    case "csv" => GraphLoader.edgeListCsv
+    case "net" => GraphLoader.pajek
+    case "asd" => GraphLoader.asd
+    case other => throw new IllegalArgumentException(
+      s"unsupported dataset format .$other; supported: .csv, .net, .asd")
   }
 
   private def checkName(name: String): Unit =

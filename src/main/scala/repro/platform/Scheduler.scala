@@ -1,7 +1,6 @@
 package repro.platform
 
 import java.util.concurrent.{ConcurrentHashMap, Executors, TimeUnit}
-import scala.jdk.CollectionConverters._
 
 /** Executor node (paper §III): performs the computation for one task —
   * fetch the dataset from the datastore, run the algorithm from the
@@ -35,7 +34,8 @@ final class Scheduler(store: Datastore, workers: Int = 2) {
 
   /** Submit a task; returns its id immediately (the permalink). Tasks
     * already submitted (same triple → same id) are not re-run unless they
-    * previously failed.
+    * previously failed. Parameters that do not parse are rejected here,
+    * before anything is queued.
     */
   def submit(task: Task): String = {
     val fresh = states.compute(task.id, (_, prev) => prev match {
@@ -67,9 +67,6 @@ final class Scheduler(store: Datastore, workers: Int = 2) {
 
   /** Status poll, as the Web UI's Status component would issue. */
   def status(taskId: String): Option[TaskState] = Option(states.get(taskId))
-
-  /** All known task states (monitoring view). */
-  def statuses: Map[String, TaskState] = states.asScala.toMap
 
   /** Block until a task reaches a terminal state (tests / CLI usage). */
   def await(taskId: String, timeoutMs: Long = 600000): TaskState = {

@@ -14,10 +14,14 @@ final case class Task(dataset: String, algorithm: String, params: Map[String, St
 
   /** Stable content-derived identifier; doubles as the permalink id the
     * demo assigns to a query (deterministic, so tests and resumed
-    * sessions agree).
+    * sessions agree). It digests the canonical parameters, so a default
+    * left out and the same default spelled out give one id; it throws
+    * when the parameters do not parse.
     */
-  lazy val id: String = Task.digest(
-    s"$dataset|$algorithm|${params.toSeq.sorted.map { case (k, v) => s"$k=$v" }.mkString(",")}")
+  lazy val id: String = {
+    val canonical = AlgorithmRegistry.canonical(algorithm, params).toSeq.sorted
+    Task.digest(s"$dataset|$algorithm|${canonical.map { case (k, v) => s"$k=$v" }.mkString(",")}")
+  }
 }
 
 object Task {
@@ -42,15 +46,15 @@ object TaskState {
 final case class QuerySet(tasks: Vector[Task]) {
   lazy val id: String = Task.digest(tasks.map(_.id).mkString("+"))
 
-  /** Add a query (the task-builder "+" action). Duplicate tasks are kept
-    * out — resubmitting the same triple is a no-op, like the demo's
-    * permalink semantics.
+  /** Add a query (the task-builder "+" action). A task with the id of one
+    * already in the set is kept out — resubmitting the same triple is a
+    * no-op, like the demo's permalink semantics.
     */
   def add(t: Task): QuerySet =
-    if (tasks.contains(t)) this else QuerySet(tasks :+ t)
+    if (tasks.exists(_.id == t.id)) this else QuerySet(tasks :+ t)
 
   /** Remove one query (the ⊠ action). */
-  def remove(t: Task): QuerySet = QuerySet(tasks.filterNot(_ == t))
+  def remove(t: Task): QuerySet = QuerySet(tasks.filterNot(_.id == t.id))
 
   /** Empty the set (the trash-bin action). */
   def clear: QuerySet = QuerySet(Vector.empty)
@@ -66,15 +70,16 @@ object QuerySet {
   */
 final class TaskBuilder(datasets: => Set[String], algorithms: => Set[String]) {
 
-  /** Build one task, validating dataset and algorithm names eagerly (the
-    * Web UI only offers valid choices; programmatic callers get an error
-    * here instead of a failed task later).
+  /** Build one task, validating dataset and algorithm names and the
+    * parameters eagerly (the Web UI only offers valid choices; programmatic
+    * callers get an error here instead of a failed task later). The task
+    * carries the canonical parameters ([[AlgorithmRegistry.canonical]]).
     */
   def build(dataset: String, algorithm: String, params: Map[String, String]): Task = {
     require(datasets.contains(dataset),
       s"unknown dataset '$dataset'; available: ${datasets.toSeq.sorted.mkString(", ")}")
     require(algorithms.contains(algorithm),
       s"unknown algorithm '$algorithm'; available: ${algorithms.toSeq.sorted.mkString(", ")}")
-    Task(dataset, algorithm, params)
+    Task(dataset, algorithm, AlgorithmRegistry.canonical(algorithm, params))
   }
 }

@@ -2,27 +2,21 @@ package repro
 
 import org.apache.spark.sql.functions._
 import repro.core.GraphTestKit
+import repro.data.SyntheticGraphs
 
-/** Plumbing checks for the provided SynthData generators and the DuckDB
-  * oracle itself, so failures in graph suites can be attributed.
+/** Plumbing checks for the DuckDB oracle itself, so failures in graph
+  * suites can be attributed.
   */
 class OracleSpec extends SparkSpec with GraphTestKit {
 
-  test("SynthData tables are deterministic in (sf, seed)") {
-    val a = SynthData.lineitem(spark, 0.001).agg(sum("l_quantity")).head().getDouble(0)
-    val b = SynthData.lineitem(spark, 0.001).agg(sum("l_quantity")).head().getDouble(0)
-    assert(a == b)
-  }
-
-  test("oracle validates a simple aggregation over lineitem") {
-    val li = SynthData.lineitem(spark, 0.001).limit(500).cache()
-    val got = li.groupBy(col("l_returnflag"))
-      .agg(count(lit(1)).as("cnt"))
-      .select(col("l_returnflag"), col("cnt"))
+  test("oracle validates an in-degree aggregation over a graph's edges") {
+    val edges = SyntheticGraphs.wikilinkLike(spark, 0.005).edges
+    val got = edges.groupBy(col("dst")).agg(count(lit(1)).as("indeg"))
+      .select(col("dst"), col("indeg"))
     Oracle.assertEquivalent(
       got,
-      "SELECT l_returnflag AS l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY 1",
-      "lineitem" -> li)
+      "SELECT CAST(dst AS BIGINT) AS dst, COUNT(*) AS indeg FROM edges GROUP BY 1",
+      "edges" -> edges)
   }
 
   test("oracle catches a wrong result") {
@@ -41,18 +35,5 @@ class OracleSpec extends SparkSpec with GraphTestKit {
     intercept[IllegalArgumentException] {
       Oracle.assertEquivalent(df, "SELECT a AS x, b AS y FROM t", "t" -> df)
     }
-  }
-
-  test("zipf keys are skewed toward small ranks") {
-    val keys = SynthData.zipfKeys(spark, rows = 5000, nKeys = 1000)
-    val top = keys.where(col("k") <= 10).count().toDouble
-    assert(top / 5000 > 0.3, s"zipf head share ${top / 5000}")
-  }
-
-  test("uniform keys cover the key space roughly evenly") {
-    val keys = SynthData.uniformKeys(spark, rows = 5000, nKeys = 10)
-    val counts = keys.groupBy("k").count().collect().map(_.getLong(1))
-    assert(counts.length == 10)
-    assert(counts.min > 250, s"min bucket ${counts.min}")
   }
 }

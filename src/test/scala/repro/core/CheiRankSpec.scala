@@ -40,7 +40,7 @@ class CheiRankSpec extends SparkSpec with GraphTestKit {
   test("personalized CheiRank follows out-links from the reference") {
     // 1 -> 2 -> 3; personalized CheiRank from 3 walks the transpose 3->2->1.
     val g = graphOf((1L, 2L), (2L, 3L))
-    val s = scoresMap(CheiRank.personalized(g, ref = 3L, alpha = 0.5, maxIter = 25))
+    val s = scoresMap(CheiRank.run(g, PageRank.Config(alpha = 0.5, maxIter = 25, teleport = Seq(3L))))
     assert(s(3L) > s(2L) && s(2L) > s(1L), s"transpose chain decay violated: $s")
   }
 }

@@ -16,13 +16,13 @@ class PersonalizedPageRankSpec extends SparkSpec with GraphTestKit {
 
   test("reference gets the highest score at moderate alpha") {
     val g = graphOf((1L, 2L), (2L, 3L), (3L, 1L), (2L, 1L), (3L, 2L))
-    val s = scoresMap(PageRank.personalized(g, ref = 2L, alpha = 0.5, maxIter = 25))
+    val s = scoresMap(PageRank.run(g, PageRank.Config(alpha = 0.5, maxIter = 25, teleport = Seq(2L))))
     assert(s(2L) == s.values.max)
   }
 
   test("vertices unreachable from the reference score zero") {
     val g = graphOf((1L, 2L), (2L, 1L), (3L, 4L), (4L, 3L))
-    val s = scoresMap(PageRank.personalized(g, ref = 1L, alpha = 0.85, maxIter = 20))
+    val s = scoresMap(PageRank.run(g, PageRank.Config(alpha = 0.85, maxIter = 20, teleport = Seq(1L))))
     assertClose(s(3L), 0.0, 1e-12)
     assertClose(s(4L), 0.0, 1e-12)
     assert(s(1L) > 0 && s(2L) > 0)
@@ -30,13 +30,13 @@ class PersonalizedPageRankSpec extends SparkSpec with GraphTestKit {
 
   test("scores sum to 1 (dangling mass returns to the reference)") {
     val g = graphOf((1L, 2L), (2L, 3L)) // 3 dangling
-    val s = scoresMap(PageRank.personalized(g, ref = 1L, alpha = 0.85, maxIter = 20))
+    val s = scoresMap(PageRank.run(g, PageRank.Config(alpha = 0.85, maxIter = 20, teleport = Seq(1L))))
     assertClose(s.values.sum, 1.0, 1e-9)
   }
 
   test("closer vertices score higher on a chain") {
     val g = graphOf((1L, 2L), (2L, 3L), (3L, 4L), (4L, 1L))
-    val s = scoresMap(PageRank.personalized(g, ref = 1L, alpha = 0.5, maxIter = 25))
+    val s = scoresMap(PageRank.run(g, PageRank.Config(alpha = 0.5, maxIter = 25, teleport = Seq(1L))))
     assert(s(1L) > s(2L) && s(2L) > s(3L) && s(3L) > s(4L), s"chain decay violated: $s")
   }
 
@@ -79,8 +79,9 @@ class PersonalizedPageRankSpec extends SparkSpec with GraphTestKit {
 
   test("lower alpha concentrates more mass near the reference") {
     val g = graphOf((1L, 2L), (2L, 3L), (3L, 1L), (2L, 1L))
-    val tight = scoresMap(PageRank.personalized(g, 1L, alpha = 0.3, maxIter = 25))
-    val loose = scoresMap(PageRank.personalized(g, 1L, alpha = 0.85, maxIter = 25))
+    val cfg = PageRank.Config(maxIter = 25, teleport = Seq(1L))
+    val tight = scoresMap(PageRank.run(g, cfg.copy(alpha = 0.3)))
+    val loose = scoresMap(PageRank.run(g, cfg.copy(alpha = 0.85)))
     assert(tight(1L) > loose(1L))
   }
 }

@@ -52,7 +52,8 @@ class PropertySpec extends SparkSpec with GraphTestKit {
         val j = (i + 1) % n
         Seq((i.toLong, j.toLong), (j.toLong, i.toLong))
       }
-      val s = scoresMap(PageRank.personalized(graphOfSeq(es), 0L, alpha = 0.7, maxIter = 20))
+      val s = scoresMap(PageRank.run(graphOfSeq(es),
+        PageRank.Config(alpha = 0.7, maxIter = 20, teleport = Seq(0L))))
       for (d <- 1 until (n + 1) / 2)
         assertClose(s(d.toLong), s((n - d).toLong), 1e-8)
     }
@@ -60,7 +61,7 @@ class PropertySpec extends SparkSpec with GraphTestKit {
 
   test("2DRank output is always a permutation of 1..N") {
     for (es <- samples(graphGen, 4, seed = 5) if es.nonEmpty) {
-      val r = TwoDRank.run(graphOfSeq(es), maxIter = 12)
+      val r = TwoDRank.run(graphOfSeq(es), PageRank.Config(maxIter = 12))
         .select("rank").collect().map(_.getInt(0)).sorted.toSeq
       assert(r == (1 to r.size).toSeq)
     }

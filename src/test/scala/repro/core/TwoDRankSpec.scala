@@ -36,30 +36,31 @@ class TwoDRankSpec extends SparkSpec with GraphTestKit {
 
   test("ranking is a permutation of 1..N") {
     val g = graphOfSeq(Reference.randomGraph(20, 60, seed = 900))
-    val r = ranksOf(TwoDRank.run(g, maxIter = 15))
+    val r = ranksOf(TwoDRank.run(g, PageRank.Config(maxIter = 15)))
     assert(r.values.toSeq.sorted == (1 to r.size).toSeq)
   }
 
   test("pseudo-score is the descending reciprocal of the rank") {
     val g = graphOf((1L, 2L), (2L, 3L), (3L, 1L), (2L, 1L))
-    val rows = TwoDRank.run(g, maxIter = 15).select("rank", "score").collect()
+    val rows = TwoDRank.run(g, PageRank.Config(maxIter = 15)).select("rank", "score").collect()
     rows.foreach(r => assertClose(r.getDouble(1), 1.0 / r.getInt(0), 1e-12))
   }
 
   test("deterministic across repeated runs") {
     val g = graphOfSeq(Reference.randomGraph(15, 45, seed = 910))
-    assert(ranksOf(TwoDRank.run(g, maxIter = 15)) == ranksOf(TwoDRank.run(g, maxIter = 15)))
+    val cfg = PageRank.Config(maxIter = 15)
+    assert(ranksOf(TwoDRank.run(g, cfg)) == ranksOf(TwoDRank.run(g, cfg)))
   }
 
   test("personalized 2DRank ranks the reference first") {
     val g = graphOf((1L, 2L), (2L, 1L), (2L, 3L), (3L, 1L), (1L, 3L), (3L, 2L))
-    val r = ranksOf(TwoDRank.personalized(g, ref = 2L, alpha = 0.5, maxIter = 20))
+    val r = ranksOf(TwoDRank.run(g, PageRank.Config(alpha = 0.5, maxIter = 20, teleport = Seq(2L))))
     assert(r(2L) == 1, s"reference tops both PPR and personalized CheiRank: $r")
   }
 
   test("carries the underlying K and K* columns") {
     val g = graphOf((1L, 2L), (2L, 1L))
-    val cols = TwoDRank.run(g, maxIter = 10).columns.toSet
+    val cols = TwoDRank.run(g, PageRank.Config(maxIter = 10)).columns.toSet
     assert(Set("id", "score", "rank", "k", "kstar").subsetOf(cols))
   }
 }

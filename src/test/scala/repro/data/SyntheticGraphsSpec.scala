@@ -22,6 +22,22 @@ class SyntheticGraphsSpec extends SparkSpec with GraphTestKit {
     assert(a.edges.except(b.edges).isEmpty)
   }
 
+  test("wikilinkLike at sf=0.01 keeps its edge count and edge-set checksum") {
+    // Recorded before the zipf generator moved here from the removed
+    // TPC-H-lite tables; the benchmark's cr-small graph is this one.
+    import org.apache.spark.sql.functions._
+    val r = SyntheticGraphs.wikilinkLike(spark, 0.01).edges
+      .agg(count(lit(1)), bit_xor(xxhash64(col("src"), col("dst")))).head()
+    assert((r.getLong(0), r.getLong(1)) == (11136L, 2580846679303264625L))
+  }
+
+  test("zipf keys are skewed toward small ranks") {
+    import org.apache.spark.sql.functions.col
+    val keys = SyntheticGraphs.zipfKeys(spark, rows = 5000, nKeys = 1000)
+    val top = keys.where(col("k") <= 10).count().toDouble
+    assert(top / 5000 > 0.3, s"zipf head share ${top / 5000}")
+  }
+
   test("different seeds give different graphs") {
     val a = SyntheticGraphs.wikilinkLike(spark, 0.005, seed = 1)
     val b = SyntheticGraphs.wikilinkLike(spark, 0.005, seed = 2)
@@ -69,7 +85,8 @@ class SyntheticGraphsSpec extends SparkSpec with GraphTestKit {
     val n = SyntheticGraphs.nVertices(0.005)
     val ref = GraphOps.reciprocalEdges(g).where(col("src") > n / 2)
       .agg(min("src")).head().getLong(0)
-    val ppr = PageRank.personalized(g, ref, alpha = 0.85, maxIter = 15, tol = 1e-6)
+    val ppr = PageRank.run(g,
+      PageRank.Config(alpha = 0.85, maxIter = 15, tol = 1e-6, teleport = Seq(ref)))
     val cr  = repro.core.CycleRank.run(g, ref, repro.core.CycleRank.Config(3))
     val pprLeak = Ranking.topKOverlap(ppr, pr, 10)
     val crLeak  = Ranking.topKOverlap(cr, pr, 10)

@@ -35,9 +35,14 @@ class GraphLoaderSpec extends SparkSpec with GraphTestKit {
     assert(edgeSet(GraphLoader.edgeListCsv(spark, f.toString)) == Set((1L, 2L)))
   }
 
+  /** The message of the `IllegalArgumentException` that `load` throws. */
+  private def rejection(load: => DirectedGraph): String =
+    intercept[IllegalArgumentException](load).getMessage
+
   test("edgelist CSV: non-numeric endpoint is rejected") {
     val f = tmpFile("g.csv", Seq("1,2", "x,3"))
-    intercept[IllegalArgumentException](GraphLoader.edgeListCsv(spark, f.toString))
+    val msg = rejection(GraphLoader.edgeListCsv(spark, f.toString))
+    assert(msg.contains(s"edgelist $f contains non-numeric endpoints"), msg)
   }
 
   test("pajek: vertices with labels and arcs") {
@@ -82,6 +87,12 @@ class GraphLoaderSpec extends SparkSpec with GraphTestKit {
     assert(edgeSet(GraphLoader.pajek(spark, f.toString)) == Set((1L, 2L)))
   }
 
+  test("pajek: non-numeric arc endpoint is rejected naming the file") {
+    val f = tmpFile("g.net", Seq("*Vertices 2", "1 \"a\"", "2 \"b\"", "*Arcs", "1 x"))
+    val msg = rejection(GraphLoader.pajek(spark, f.toString))
+    assert(msg.contains(s"pajek $f contains non-numeric endpoints"), msg)
+  }
+
   test("pajek: missing *Vertices is rejected") {
     val f = tmpFile("g.net", Seq("*Arcs", "1 2"))
     intercept[IllegalArgumentException](GraphLoader.pajek(spark, f.toString))
@@ -108,17 +119,29 @@ class GraphLoaderSpec extends SparkSpec with GraphTestKit {
     intercept[IllegalArgumentException](GraphLoader.asd(spark, f.toString))
   }
 
+  test("asd: non-numeric endpoint is rejected naming the file") {
+    val f = tmpFile("g.asd", Seq("3 2", "0 1", "1 x"))
+    val msg = rejection(GraphLoader.asd(spark, f.toString))
+    assert(msg.contains(s"ASD $f contains non-numeric endpoints"), msg)
+  }
+
+  test("asd: isolated vertices declared by N are kept") {
+    val f = tmpFile("g.asd", Seq("5 1", "0 1"))
+    assert(GraphLoader.asd(spark, f.toString).numVertices == 5)
+  }
+
   test("asd: malformed header is rejected") {
     val f = tmpFile("g.asd", Seq("banana", "0 1"))
     intercept[IllegalArgumentException](GraphLoader.asd(spark, f.toString))
   }
 
   test("round-trip: algorithms agree across formats of the same graph") {
-    val csv = tmpFile("g.csv", Seq("1,2", "2,1", "2,3", "3,1"))
-    val asd = tmpFile("g.asd", Seq("4 4", "1 2", "2 1", "2 3", "3 1"))
+    val csv = tmpFile("g.csv", Seq("0,1", "1,0", "1,2", "2,0"))
+    val asd = tmpFile("g.asd", Seq("3 4", "0 1", "1 0", "1 2", "2 0"))
     val g1 = GraphLoader.edgeListCsv(spark, csv.toString)
     val g2 = GraphLoader.asd(spark, asd.toString)
     assert(edgeSet(g1) == edgeSet(g2))
+    assert(g1.numVertices == g2.numVertices)
     val s1 = scoresMap(repro.core.PageRank.run(g1))
     val s2 = scoresMap(repro.core.PageRank.run(g2))
     assertMapsClose(s1, s2, 1e-10)

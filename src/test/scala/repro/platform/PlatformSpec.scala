@@ -1,7 +1,10 @@
 package repro.platform
 
+import java.nio.file.Files
+import scala.jdk.CollectionConverters._
 import repro.SparkSpec
-import repro.core.{CycleRank, GraphTestKit, PageRank}
+import repro.core.{CheiRank, CycleRank, GraphTestKit, PageRank, Scoring, TwoDRank}
+import repro.graph.GraphLoader
 
 /** End-to-end tests of the headless demo platform: task builder →
   * scheduler → executor → status → datastore (paper §III).
@@ -22,11 +25,20 @@ class PlatformSpec extends SparkSpec with GraphTestKit {
     assert(a.id != c.id)
   }
 
+  test("a task's id does not depend on spelling out defaults") {
+    assert(Task("d", "pagerank", Map.empty).id ==
+      Task("d", "pagerank", Map("alpha" -> "0.85", "maxIter" -> "60", "tol" -> "1e-10")).id)
+    assert(Task("d", "cyclerank", Map("ref" -> "1")).id ==
+      Task("d", "cyclerank", Map("ref" -> "01", "k" -> "3", "sigma" -> "exp")).id)
+    assert(Task("d", "pagerank", Map.empty).id != Task("d", "pagerank", Map("alpha" -> "0.3")).id)
+  }
+
   test("query set add/remove/clear mirror the task-builder actions") {
     val t1 = Task("d", "pagerank", Map.empty)
     val t2 = Task("d", "cheirank", Map.empty)
     val qs = QuerySet.empty.add(t1).add(t2).add(t1) // duplicate ignored
     assert(qs.tasks == Vector(t1, t2))
+    assert(qs.add(Task("d", "pagerank", Map("alpha" -> "0.85"))) == qs) // same id as t1
     assert(qs.remove(t1).tasks == Vector(t2))
     assert(qs.clear.tasks.isEmpty)
     assert(qs.id == QuerySet.empty.add(t1).add(t2).id)
@@ -38,6 +50,49 @@ class PlatformSpec extends SparkSpec with GraphTestKit {
     tb.build("tiny", "pagerank", Map.empty)
     intercept[IllegalArgumentException](tb.build("nope", "pagerank", Map.empty))
     intercept[IllegalArgumentException](tb.build("tiny", "nope", Map.empty))
+  }
+
+  test("task builder returns canonical params and rejects bad keys and values by name") {
+    val tb = new TaskBuilder(Set("tiny"), AlgorithmRegistry.names)
+    assert(tb.build("tiny", "pagerank", Map.empty) ==
+      tb.build("tiny", "pagerank", Map("alpha" -> "0.85", "maxIter" -> "60", "tol" -> "1e-10")))
+    for ((alg, params, named) <- Seq(
+        ("cyclerank", Map("ref" -> "1", "K" -> "5"), "K=5"),
+        ("pagerank", Map("alfa" -> "0.3"), "alfa=0.3"),
+        ("pagerank", Map("ref" -> "1"), "ref=1"),
+        ("pagerank", Map("alpha" -> "abc"), "alpha=abc"),
+        ("personalized-cheirank", Map("ref" -> "x"), "ref=x"),
+        ("2drank", Map("maxIter" -> "0"), "maxIter=0"),
+        ("cyclerank", Map("ref" -> "1", "sigma" -> "cubic"), "sigma=cubic"),
+        ("cyclerank", Map("ref" -> "1", "k" -> "1"), "k=1"))) {
+      val e = intercept[IllegalArgumentException](tb.build("tiny", alg, params))
+      assert(e.getMessage.contains(named), e.getMessage)
+    }
+    for (alg <- Seq("personalized-pagerank", "personalized-cheirank", "personalized-2drank",
+                    "cyclerank")) {
+      val e = intercept[IllegalArgumentException](tb.build("tiny", alg, Map.empty))
+      assert(e.getMessage.contains("missing required parameter 'ref'"), e.getMessage)
+    }
+  }
+
+  test("each registry entry equals its engine called with the same config") {
+    val g = graphOf((1L, 2L), (2L, 1L), (2L, 3L), (3L, 1L), (3L, 4L), (4L, 2L))
+    val pr = PageRank.Config(alpha = 0.7, maxIter = 30, tol = 1e-12)
+    val ppr = pr.copy(teleport = Seq(2L))
+    val prParams = Map("alpha" -> "0.7", "maxIter" -> "30", "tol" -> "1e-12")
+    val pprParams = prParams + ("ref" -> "2")
+    val cases = Seq(
+      ("pagerank", prParams, PageRank.run(g, pr)),
+      ("personalized-pagerank", pprParams, PageRank.run(g, ppr)),
+      ("cheirank", prParams, CheiRank.run(g, pr)),
+      ("personalized-cheirank", pprParams, CheiRank.run(g, ppr)),
+      ("2drank", prParams, TwoDRank.run(g, pr)),
+      ("personalized-2drank", pprParams, TwoDRank.run(g, ppr)),
+      ("cyclerank", Map("ref" -> "1", "k" -> "4", "sigma" -> "lin"),
+        CycleRank.run(g, 1L, CycleRank.Config(4, Scoring.Linear))))
+    assert(cases.map(_._1).toSet == AlgorithmRegistry.names)
+    for ((name, params, direct) <- cases)
+      assert(scoresMap(AlgorithmRegistry(name)(g, params)) == scoresMap(direct), name)
   }
 
   test("registry exposes exactly the paper's seven algorithms") {
@@ -89,6 +144,44 @@ class PlatformSpec extends SparkSpec with GraphTestKit {
       }
     }
     assert(!java.nio.file.Files.exists(store.root.resolve("escape.csv")))
+  }
+
+  test("datastore rejects an upload with an unsupported extension") {
+    val f = Files.createTempFile("graph", ".txt")
+    Files.write(f, Seq("1 2").asJava)
+    val store = Datastore.temp(spark)
+    val e = intercept[IllegalArgumentException](store.uploadDataset("g", f))
+    assert(e.getMessage.contains("unsupported dataset format .txt"), e.getMessage)
+    assert(store.datasetNames.isEmpty)
+  }
+
+  test("uploaded Pajek and ASD files run through the scheduler like direct engine calls") {
+    val dir = Files.createTempDirectory("upload")
+    val net = Files.write(dir.resolve("g.net"), Seq(
+      "*Vertices 4", "1 \"a\"", "2 \"b\"", "3 \"c\"", "4 \"d\"",
+      "*Arcs", "1 2", "2 3", "3 1", "*Edges", "3 4").asJava)
+    val asd = Files.write(dir.resolve("g.asd"), Seq("5 4", "0 1", "1 2", "2 0", "2 3").asJava)
+    val store = Datastore.temp(spark)
+    store.uploadDataset("pj", net)
+    store.uploadDataset("as", asd)
+    val (pj, as) = (GraphLoader.pajek(spark, net.toString), GraphLoader.asd(spark, asd.toString))
+    val sched = new Scheduler(store, workers = 2)
+    try {
+      val pr = PageRank.Config(maxIter = 20)
+      val cases = Seq(
+        Task("pj", "pagerank", Map("maxIter" -> "20")) -> PageRank.run(pj, pr),
+        Task("pj", "cyclerank", Map("ref" -> "1")) -> CycleRank.run(pj, 1L),
+        Task("as", "pagerank", Map("maxIter" -> "20")) -> PageRank.run(as, pr),
+        Task("as", "cyclerank", Map("ref" -> "0")) -> CycleRank.run(as, 0L))
+      cases.foreach { case (t, _) => sched.submit(t) }
+      for ((t, direct) <- cases) {
+        val what = s"${t.dataset} ${t.algorithm}"
+        assert(sched.await(t.id) == TaskState.Done, what)
+        assert(scoresMap(store.readResult(t.id).get) == scoresMap(direct), what)
+      }
+      // The ASD header declares vertex 4, which no edge touches.
+      assert(scoresMap(store.readResult(cases(2)._1.id).get).contains(4L))
+    } finally sched.shutdown()
   }
 
   test("end-to-end: scheduled pagerank equals direct invocation") {
@@ -154,15 +247,15 @@ class PlatformSpec extends SparkSpec with GraphTestKit {
 
   test("a pagerank task with tol=NaN fails and names the value") {
     val store = newStore()
+    val tb = new TaskBuilder(store.datasetNames, AlgorithmRegistry.names)
     val sched = new Scheduler(store, workers = 1)
     try {
-      val bad = Task("tiny", "pagerank", Map("tol" -> "NaN"))
-      sched.submit(bad)
-      sched.await(bad.id) match {
-        case TaskState.Failed(reason) =>
-          assert(reason.contains("tol must be finite and non-negative, got NaN"), reason)
-        case other => fail(s"expected Failed, got $other")
-      }
+      val msg = "tol must be finite and non-negative, got NaN"
+      val built = intercept[IllegalArgumentException](tb.build("tiny", "pagerank", Map("tol" -> "NaN")))
+      assert(built.getMessage.contains(msg) && built.getMessage.contains("tol=NaN"), built.getMessage)
+      val submitted = intercept[IllegalArgumentException](
+        sched.submit(Task("tiny", "pagerank", Map("tol" -> "NaN"))))
+      assert(submitted.getMessage.contains(msg), submitted.getMessage)
     } finally sched.shutdown()
   }
 
