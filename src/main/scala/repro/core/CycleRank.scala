@@ -21,7 +21,8 @@ import repro.graph.{DirectedGraph, GraphOps}
   *  2. '''Kernel''' (driver) — the edges with both endpoints in the support
   *     are collected in one action and handed to
   *     [[LocalCycleRank.runOnEdges]], which enumerates every simple cycle of
-  *     length ≤ K through r by bounded DFS (Johnson-style) and credits
+  *     length ≤ K through r by bounded DFS (Johnson-style), within a budget
+  *     of [[MaxKernelSteps]] path extensions, and credits
   *     `σ(n)` to each of its members. The support-induced subgraph keeps
   *     every such cycle, so the answer is exact.
   *
@@ -39,6 +40,19 @@ object CycleRank {
     require(k >= 2, s"K must be > 1 (got $k)")
   }
 
+  /** Maximum number of support edges collected to the driver for the kernel. */
+  val MaxDriverEdges: Int = 5_000_000
+
+  /** Maximum number of path extensions the kernel's DFS makes for one
+    * query: the enumeration is exponential in K, and a dense support within
+    * [[MaxDriverEdges]] can hold ~10¹² paths of length < 5. On complete
+    * digraphs an extension took 0.5 µs at degree 40–60 and 1.7–1.9 µs at
+    * degree 200 (4-core VM), so the kernel gives up within about a minute
+    * on supports up to that density. The largest bench query (cr-large,
+    * K=5) makes 32 856 extensions.
+    */
+  val MaxKernelSteps: Long = 20_000_000L
+
   /** CycleRank of `ref`. Returns `(id, score)` with `score > 0`. */
   def run(g: DirectedGraph, ref: Long, cfg: Config = Config()): DataFrame = {
     val spark = g.edges.sparkSession
@@ -52,7 +66,7 @@ object CycleRank {
     val support = fwd.keySet.filter(v => bwd.get(v).exists(_ + fwd(v) <= cfg.k))
     // With a support of r alone, r shares no cycle of length ≤ K.
     if (support.size <= 1) return scoresDf(spark, Map.empty)
-    val edges = supportEdges(g, support, ref, cfg.k, LocalCycleRank.MaxDriverEdges.toInt)
+    val edges = supportEdges(g, support, ref, cfg.k, MaxDriverEdges)
     scoresDf(spark, LocalCycleRank.runOnEdges(edges, ref, cfg))
   }
 

@@ -1,34 +1,25 @@
 package repro.core
 
 import scala.collection.mutable
-import repro.graph.DirectedGraph
 
 /** The CycleRank enumeration kernel — the analogue of the authors'
   * reference C++ implementation: a bounded-depth DFS that enumerates every
   * simple cycle of length ≤ K through the reference node, pruned by
   * forward/backward distance like [[CycleRank]]'s support.
-  *
-  * [[runOnEdges]] is the kernel [[CycleRank.run]] runs on the collected
-  * support; [[run]] collects the whole graph instead and is the
-  * single-machine baseline of the scaling bench.
+  * [[CycleRank.run]] runs it on the collected support.
   */
 object LocalCycleRank {
 
-  /** Maximum number of edges collected to the driver for the kernel. */
-  val MaxDriverEdges: Long = 5_000_000L
-
-  /** Compute CycleRank scores on the whole collected graph. Returns only
-    * vertices with a strictly positive score, like [[CycleRank.run]].
+  /** Pure in-memory kernel (also handy for tiny hand-built test graphs).
+    * Fails naming `ref` and K when the DFS would extend a path more than
+    * [[CycleRank.MaxKernelSteps]] times.
     */
-  def run(g: DirectedGraph, ref: Long, cfg: CycleRank.Config): Map[Long, Double] = {
-    val m = g.numEdges
-    require(m <= MaxDriverEdges, s"graph too large for the local baseline ($m edges)")
-    val edgeArr = g.edges.collect().map(r => (r.getLong(0), r.getLong(1)))
-    runOnEdges(edgeArr, ref, cfg)
-  }
+  def runOnEdges(edges: Seq[(Long, Long)], ref: Long, cfg: CycleRank.Config): Map[Long, Double] =
+    runOnEdges(edges, ref, cfg, CycleRank.MaxKernelSteps)
 
-  /** Pure in-memory kernel (also handy for tiny hand-built test graphs). */
-  def runOnEdges(edges: Seq[(Long, Long)], ref: Long, cfg: CycleRank.Config): Map[Long, Double] = {
+  /** [[runOnEdges]] with at most `maxSteps` path extensions. */
+  private[core] def runOnEdges(edges: Seq[(Long, Long)], ref: Long, cfg: CycleRank.Config,
+                               maxSteps: Long): Map[Long, Double] = {
     val simple = edges.filter { case (s, d) => s != d }.distinct
     val adj  = simple.groupMap(_._1)(_._2).map { case (k, v) => k -> v.toArray }
     val radj = simple.groupMap(_._2)(_._1).map { case (k, v) => k -> v.toArray }
@@ -59,6 +50,7 @@ object LocalCycleRank {
     val counts = mutable.LongMap.empty[Array[Long]]
     val path = mutable.ArrayBuffer[Long](ref)
     val onPath = mutable.Set[Long](ref)
+    var steps = 0L
 
     def dfs(v: Long): Unit = {
       for (w <- adj.getOrElse(v, Array.empty[Long])) {
@@ -67,6 +59,10 @@ object LocalCycleRank {
           path.foreach(u => counts.getOrElseUpdate(u, new Array[Long](k + 1))(n) += 1)
         } else if (path.length < k && !onPath.contains(w) && support.contains(w)
                    && bwd(w) <= k - path.length) {
+          steps += 1
+          require(steps <= maxSteps,
+            s"CycleRank enumeration for reference $ref at K=$k exceeded its budget of " +
+            s"$maxSteps DFS steps (reached $steps)")
           path += w; onPath += w
           dfs(w)
           path.remove(path.length - 1); onPath -= w

@@ -4,8 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
-/** Rank-position utilities shared by every algorithm and by the table
-  * harnesses. Ties are always broken by ascending node id so results are
+/** Rank positions, as 2DRank combines them. Ties are always broken by ascending node id so results are
   * deterministic (DESIGN.md, "Documented algorithmic choices").
   */
 object Ranking {
@@ -16,32 +15,5 @@ object Ranking {
   def withRank(scores: DataFrame): DataFrame = {
     val w = Window.orderBy(col("score").desc, col("id").asc)
     scores.withColumn("rank", row_number().over(w))
-  }
-
-  /** Top-k rows by descending score (id-ascending tie-break), collected. */
-  def topK(scores: DataFrame, k: Int): Seq[(Long, Double)] =
-    scores.orderBy(col("score").desc, col("id").asc).limit(k)
-      .select(col("id"), col("score"))
-      .collect().toSeq.map(r => (r.getLong(0), r.getDouble(1)))
-
-  /** Top-k node ids only. */
-  def topKIds(scores: DataFrame, k: Int): Seq[Long] = topK(scores, k).map(_._1)
-
-  /** Fraction of `a`'s top-k that also appears in `b`'s top-k — the
-    * "popularity leakage" metric used by the shape tests: PPR's overlap
-    * with global PageRank is expected to exceed CycleRank's.
-    */
-  def topKOverlap(a: DataFrame, b: DataFrame, k: Int): Double = {
-    val sa = topKIds(a, k).toSet
-    val sb = topKIds(b, k).toSet
-    if (sa.isEmpty) 0.0 else sa.intersect(sb).size.toDouble / sa.size
-  }
-
-  /** Jaccard similarity of two top-k id sets. */
-  def topKJaccard(a: DataFrame, b: DataFrame, k: Int): Double = {
-    val sa = topKIds(a, k).toSet
-    val sb = topKIds(b, k).toSet
-    val u  = sa.union(sb).size
-    if (u == 0) 1.0 else sa.intersect(sb).size.toDouble / u
   }
 }

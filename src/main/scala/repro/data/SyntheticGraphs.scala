@@ -39,9 +39,7 @@ object SyntheticGraphs {
     fwd.union(back)
   }
 
-  /** `rows` zipf-skewed keys `k` in `[1, nKeys]` (rank weights `1/k^alpha`)
-    * with a uniform value `v`.
-    */
+  /** `rows` zipf-skewed keys `k` in `[1, nKeys]` (rank weights `1/k^alpha`). */
   private[data] def zipfKeys(spark: SparkSession, rows: Long, nKeys: Long,
                              alpha: Double = 1.1, seed: Long = 3): DataFrame = {
     // Inverse-CDF draw over rank weights 1/k^alpha; good enough for skew.
@@ -50,9 +48,7 @@ object SyntheticGraphs {
       least(lit(nKeys),
             greatest(lit(1L),
               pow(lit(1.0) / (rand(seed) * norm + 1e-9), lit(1.0 / alpha)).cast(LongType)
-            )) as "k",
-      rand(seed + 1) as "v",
-    )
+            )) as "k")
   }
 
   private def popularityEdges(spark: SparkSession, n: Long, rows: Long,

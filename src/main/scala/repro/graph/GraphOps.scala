@@ -33,22 +33,6 @@ object GraphOps {
       .select(col("id"), coalesce(col("outdeg"), lit(0L)).as("outdeg"))
   }
 
-  /** In-degree per vertex: `(id, indeg)`, zero-filled like [[outDegrees]]. */
-  def inDegrees(g: DirectedGraph): DataFrame = {
-    val d = g.edges.groupBy(col("dst").as("id")).agg(count(lit(1)).as("indeg"))
-    g.vertices.join(d, Seq("id"), "left")
-      .select(col("id"), coalesce(col("indeg"), lit(0L)).as("indeg"))
-  }
-
-  /** Edges that are reciprocated (both `u→v` and `v→u` exist). CycleRank's
-    * length-2 cycles are exactly these pairs; exposed for analysis and
-    * tests.
-    */
-  def reciprocalEdges(g: DirectedGraph): DataFrame = {
-    val rev = g.edges.select(col("dst").as("src"), col("src").as("dst"))
-    g.edges.intersect(rev)
-  }
-
   /** Vertices within `maxDist` hops of `source` following edge direction:
     * `(id, dist)` with `dist` the minimum hop count (source itself at 0).
     * One direction of [[cappedBfs]].

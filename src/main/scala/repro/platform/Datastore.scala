@@ -2,6 +2,7 @@ package repro.platform
 
 import java.nio.file.{Files, Path, Paths}
 import scala.jdk.CollectionConverters._
+import scala.util.Using
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.graph.{DirectedGraph, GraphLoader}
@@ -23,20 +24,25 @@ final class Datastore(val root: Path, spark: SparkSession) {
 
   /** Register ("upload") a dataset file; format is inferred from the
     * extension, matching the demo's supported upload formats, and an
-    * unsupported extension is rejected here.
+    * unsupported extension is rejected here. Replaces everything stored
+    * under `name`.
     */
   def uploadDataset(name: String, sourceFile: Path): Unit = {
     checkName(name)
     val ext = extensionOf(sourceFile.getFileName.toString)
     loaderFor(ext)
+    storedFiles(name).foreach(Files.delete)
     Files.copy(sourceFile, datasetsDir.resolve(s"$name.$ext"))
   }
 
-  /** Register an in-memory graph as an edgelist-CSV dataset. */
+  /** Register an in-memory graph as an edgelist-CSV dataset. Replaces
+    * everything stored under `name`.
+    */
   def putDataset(name: String, g: DirectedGraph): Unit = {
     checkName(name)
     val rows = g.edges.select(col("src"), col("dst")).collect()
       .map(r => s"${r.getLong(0)},${r.getLong(1)}")
+    storedFiles(name).foreach(Files.delete)
     Files.write(datasetsDir.resolve(s"$name.csv"), rows.toSeq.asJava)
     g.labels.foreach { l =>
       val lab = l.collect().map(r => s"${r.getLong(0)}\t${r.getString(1)}")
@@ -57,9 +63,8 @@ final class Datastore(val root: Path, spark: SparkSession) {
     */
   def loadDataset(name: String): DirectedGraph = {
     checkName(name)
-    val file = Files.list(datasetsDir).iterator().asScala
-      .filterNot(_.getFileName.toString.endsWith(".labels"))
-      .find(f => baseName(f.getFileName.toString) == name)
+    val file = storedFiles(name)
+      .find(f => !f.getFileName.toString.endsWith(".labels"))
       .getOrElse(throw new IllegalArgumentException(s"dataset '$name' not found"))
     val path = file.toString
     val g = loaderFor(extensionOf(path))(spark, path)
@@ -73,13 +78,16 @@ final class Datastore(val root: Path, spark: SparkSession) {
     } else g
   }
 
-  /** Persist a finished task's `(id, score)` result. */
-  def writeResult(taskId: String, result: DataFrame): Unit = {
+  /** Persist a finished task's `(id, score)` result; returns the number
+    * of rows written.
+    */
+  def writeResult(taskId: String, result: DataFrame): Long = {
     val dir = resultsDir.resolve(taskId)
     Files.createDirectories(dir)
     val rows = result.select(col("id"), col("score")).collect()
       .map(r => s"${r.getLong(0)},${r.getDouble(1)}")
     Files.write(dir.resolve("scores.csv"), rows.toSeq.asJava)
+    rows.length
   }
 
   /** Read a task result back as a DataFrame; None if never written. */
@@ -114,6 +122,11 @@ final class Datastore(val root: Path, spark: SparkSession) {
     case other => throw new IllegalArgumentException(
       s"unsupported dataset format .$other; supported: .csv, .net, .asd")
   }
+
+  /** The stored files of dataset `name`, in any format, and its labels. */
+  private def storedFiles(name: String): Seq[Path] =
+    Using.resource(Files.list(datasetsDir))(_.iterator().asScala
+      .filter(f => baseName(f.getFileName.toString) == name).toSeq)
 
   private def checkName(name: String): Unit =
     require(!name.contains('/') && !name.contains('\\'),

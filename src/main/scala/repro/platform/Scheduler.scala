@@ -15,8 +15,7 @@ final class PlatformExecutor(store: Datastore) {
     store.appendLog(task.id, s"start dataset=${task.dataset} algorithm=${task.algorithm}")
     val g = store.loadDataset(task.dataset)
     val result = AlgorithmRegistry(task.algorithm)(g, task.params)
-    store.writeResult(task.id, result)
-    val n = result.count()
+    val n = store.writeResult(task.id, result)
     store.appendLog(task.id, s"done rows=$n")
     n
   }

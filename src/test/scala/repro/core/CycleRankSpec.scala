@@ -1,9 +1,12 @@
 package repro.core
 
+import org.apache.spark.sql.functions.{col, min}
 import repro.{Oracle, SparkSpec}
+import repro.data.SyntheticGraphs
 
 /** CycleRank: closed-form cases, the unpruned brute-force reference, the
-  * DuckDB recursive-CTE oracle, scoring functions, and K sensitivity.
+  * DuckDB recursive-CTE oracle, the kernel on the whole graph, scoring
+  * functions, and K sensitivity.
   */
 class CycleRankSpec extends SparkSpec with GraphTestKit {
 
@@ -186,5 +189,21 @@ class CycleRankSpec extends SparkSpec with GraphTestKit {
     assert(cr(g, 1L, 4).isEmpty)
     val s5 = cr(g, 1L, 5)
     Seq(1L, 2L, 3L, 4L, 5L).foreach(v => assertClose(s5(v), e(5)))
+  }
+
+  test("distributed and local CycleRank agree at bench scale") {
+    // The kernel on the whole collected graph is the unpruned baseline.
+    val g = SyntheticGraphs.wikilinkLike(spark, 0.01)
+    val n = g.numVertices
+    // deterministic reference inside a reciprocal community block, away
+    // from the zipf-popular low ids
+    val ref = reciprocalEdges(g).where(col("src") > n / 2)
+      .agg(min("src")).head().getLong(0)
+    val d = cr(g, ref, 3)
+    val es = g.edges.collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+    val l = LocalCycleRank.runOnEdges(es, ref, CycleRank.Config(3))
+    assert(d.size > 1, s"reference $ref shares no cycle")
+    val diff = Reference.maxAbsDiff(d, l)
+    assert(diff < 1e-9, s"engines diverge by $diff")
   }
 }

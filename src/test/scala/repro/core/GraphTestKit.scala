@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.graph.DirectedGraph
 
@@ -13,6 +14,21 @@ trait GraphTestKit { self: SparkSpec =>
 
   def graphOfSeq(es: Seq[(Long, Long)]): DirectedGraph =
     DirectedGraph.fromEdges(spark, es)
+
+  /** In-degree per vertex: `(id, indeg)`, zero-filled for sources. */
+  def inDegrees(g: DirectedGraph): DataFrame = {
+    val d = g.edges.groupBy(col("dst").as("id")).agg(count(lit(1)).as("indeg"))
+    g.vertices.join(d, Seq("id"), "left")
+      .select(col("id"), coalesce(col("indeg"), lit(0L)).as("indeg"))
+  }
+
+  /** Edges that are reciprocated (both `u→v` and `v→u` exist). CycleRank's
+    * length-2 cycles are exactly these pairs.
+    */
+  def reciprocalEdges(g: DirectedGraph): DataFrame = {
+    val rev = g.edges.select(col("dst").as("src"), col("src").as("dst"))
+    g.edges.intersect(rev)
+  }
 
   /** Collect a `(id, score)` frame to a map. */
   def scoresMap(df: DataFrame): Map[Long, Double] =

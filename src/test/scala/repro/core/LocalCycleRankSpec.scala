@@ -2,8 +2,8 @@ package repro.core
 
 import repro.SparkSpec
 
-/** The local bounded-DFS baseline: agreement with brute force and with
-  * the distributed engine, plus its driver-size guard.
+/** The driver-side enumeration kernel: agreement with brute force and with
+  * the distributed engine, plus its DFS step budget.
   */
 class LocalCycleRankSpec extends SparkSpec with GraphTestKit {
 
@@ -22,7 +22,7 @@ class LocalCycleRankSpec extends SparkSpec with GraphTestKit {
       val es  = Reference.randomReciprocalGraph(n = 18, m = 60, seed = 700 + seed)
       val g   = graphOfSeq(es)
       val ref = es.head._1
-      val loc  = LocalCycleRank.run(g, ref, CycleRank.Config(4))
+      val loc  = LocalCycleRank.runOnEdges(es, ref, CycleRank.Config(4))
       val dist = scoresMap(CycleRank.run(g, ref, CycleRank.Config(4)))
       assertMapsClose(loc, dist, 1e-10)
     }
@@ -54,5 +54,21 @@ class LocalCycleRankSpec extends SparkSpec with GraphTestKit {
     val es = Seq((1L, 2L), (2L, 1L))
     val s = LocalCycleRank.runOnEdges(es, 1L, CycleRank.Config(2, Scoring.Constant))
     assertClose(s(1L), 1.0)
+  }
+
+  test("DFS step budget: the exact extension count passes, one less fails") {
+    // In the complete digraph on m vertices the DFS extends every simple
+    // path from r of l < K edges, and there are (m-1)!/(m-1-l)! of them.
+    for ((m, k) <- Seq((6, 5), (5, 4), (4, 2))) {
+      val es = for (i <- 0L until m; j <- 0L until m if i != j) yield (i, j)
+      val steps = (1 until k).map(l => (m - l until m).map(_.toLong).product).sum
+      val cfg = CycleRank.Config(k, Scoring.Constant)
+      assert(LocalCycleRank.runOnEdges(es, 0L, cfg, maxSteps = steps) ==
+        LocalCycleRank.runOnEdges(es, 0L, cfg))
+      val ex = intercept[IllegalArgumentException](
+        LocalCycleRank.runOnEdges(es, 0L, cfg, maxSteps = steps - 1))
+      Seq("reference 0", s"K=$k", s"budget of ${steps - 1} DFS steps", s"reached $steps")
+        .foreach(w => assert(ex.getMessage.contains(w), ex.getMessage))
+    }
   }
 }

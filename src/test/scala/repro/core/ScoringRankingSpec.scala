@@ -44,17 +44,17 @@ class ScoringRankingSpec extends SparkSpec with GraphTestKit {
   test("topK returns k best pairs in order") {
     import spark.implicits._
     val df = Seq((1L, 0.1), (2L, 0.9), (3L, 0.5), (4L, 0.7)).toDF("id", "score")
-    assert(Ranking.topKIds(df, 2) == Seq(2L, 4L))
-    assert(Ranking.topK(df, 1) == Seq((2L, 0.9)))
+    assert(TopK.ids(df, 2) == Seq(2L, 4L))
+    assert(TopK(df, 1) == Seq((2L, 0.9)))
   }
 
   test("topKOverlap and topKJaccard behave on disjoint and equal sets") {
     import spark.implicits._
     val a = Seq((1L, 1.0), (2L, 0.9)).toDF("id", "score")
     val b = Seq((3L, 1.0), (4L, 0.9)).toDF("id", "score")
-    assertClose(Ranking.topKOverlap(a, b, 2), 0.0, 1e-15)
-    assertClose(Ranking.topKOverlap(a, a, 2), 1.0, 1e-15)
-    assertClose(Ranking.topKJaccard(a, b, 2), 0.0, 1e-15)
-    assertClose(Ranking.topKJaccard(a, a, 2), 1.0, 1e-15)
+    assertClose(TopK.overlap(a, b, 2), 0.0, 1e-15)
+    assertClose(TopK.overlap(a, a, 2), 1.0, 1e-15)
+    assertClose(TopK.jaccard(a, b, 2), 0.0, 1e-15)
+    assertClose(TopK.jaccard(a, a, 2), 1.0, 1e-15)
   }
 }

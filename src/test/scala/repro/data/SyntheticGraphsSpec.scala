@@ -1,8 +1,7 @@
 package repro.data
 
 import repro.SparkSpec
-import repro.core.{GraphTestKit, PageRank, Ranking}
-import repro.graph.GraphOps
+import repro.core.{GraphTestKit, PageRank, TopK}
 
 /** Scale-parameterised generators: determinism, size scaling, skew and
   * reciprocity profiles, and the paper's central "popularity leakage"
@@ -57,7 +56,7 @@ class SyntheticGraphsSpec extends SparkSpec with GraphTestKit {
   test("in-degree is heavy-tailed: top 1% of nodes holds >10% of in-links") {
     val g = SyntheticGraphs.wikilinkLike(spark, 0.01)
     import org.apache.spark.sql.functions._
-    val indeg = GraphOps.inDegrees(g).orderBy(col("indeg").desc)
+    val indeg = inDegrees(g).orderBy(col("indeg").desc)
     val n = indeg.count()
     val top = indeg.limit(math.max(1, (n / 100).toInt))
       .agg(sum("indeg")).head().getLong(0).toDouble
@@ -67,7 +66,7 @@ class SyntheticGraphsSpec extends SparkSpec with GraphTestKit {
 
   test("copurchaseLike is more reciprocal than twitterLike") {
     def reciprocity(g: repro.graph.DirectedGraph): Double =
-      GraphOps.reciprocalEdges(g).count().toDouble / g.numEdges
+      reciprocalEdges(g).count().toDouble / g.numEdges
     val co = reciprocity(SyntheticGraphs.copurchaseLike(spark, 0.005))
     val tw = reciprocity(SyntheticGraphs.twitterLike(spark, 0.005))
     assert(co > tw, s"copurchase reciprocity $co should exceed twitter $tw")
@@ -83,13 +82,13 @@ class SyntheticGraphsSpec extends SparkSpec with GraphTestKit {
     // zipf-popular low ids, i.e. inside an ordinary community block
     import org.apache.spark.sql.functions.{col, min}
     val n = SyntheticGraphs.nVertices(0.005)
-    val ref = GraphOps.reciprocalEdges(g).where(col("src") > n / 2)
+    val ref = reciprocalEdges(g).where(col("src") > n / 2)
       .agg(min("src")).head().getLong(0)
     val ppr = PageRank.run(g,
       PageRank.Config(alpha = 0.85, maxIter = 15, tol = 1e-6, teleport = Seq(ref)))
     val cr  = repro.core.CycleRank.run(g, ref, repro.core.CycleRank.Config(3))
-    val pprLeak = Ranking.topKOverlap(ppr, pr, 10)
-    val crLeak  = Ranking.topKOverlap(cr, pr, 10)
+    val pprLeak = TopK.overlap(ppr, pr, 10)
+    val crLeak  = TopK.overlap(cr, pr, 10)
     assert(pprLeak > crLeak,
       s"PPR leakage $pprLeak should exceed CR leakage $crLeak")
   }

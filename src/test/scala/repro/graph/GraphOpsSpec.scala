@@ -50,7 +50,7 @@ class GraphOpsSpec extends SparkSpec with GraphTestKit {
   test("inDegrees zero-fills sources (oracle)") {
     val g = graphOf((1L, 2L), (1L, 3L), (2L, 3L), (4L, 1L))
     Oracle.assertEquivalent(
-      GraphOps.inDegrees(g),
+      inDegrees(g),
       """WITH v AS (SELECT DISTINCT CAST(src AS BIGINT) id FROM edges
         |           UNION SELECT DISTINCT CAST(dst AS BIGINT) FROM edges),
         |d AS (SELECT CAST(dst AS BIGINT) id, COUNT(*) c FROM edges GROUP BY 1)
@@ -62,7 +62,7 @@ class GraphOpsSpec extends SparkSpec with GraphTestKit {
   test("reciprocalEdges finds exactly the mutual pairs (oracle)") {
     val g = graphOf((1L, 2L), (2L, 1L), (2L, 3L), (3L, 4L), (4L, 3L))
     Oracle.assertEquivalent(
-      GraphOps.reciprocalEdges(g),
+      reciprocalEdges(g),
       """SELECT e1.src AS src, e1.dst AS dst
         |FROM edges e1 JOIN edges e2 ON e1.src = e2.dst AND e1.dst = e2.src""".stripMargin,
       "edges" -> g.edges)

@@ -133,6 +133,57 @@ class PlatformSpec extends SparkSpec with GraphTestKit {
     assert(store.loadDataset("wiki.en").edges.count() == 2)
   }
 
+  test("storing a dataset again drops the labels stored under its name") {
+    val store = Datastore.temp(spark)
+    store.putDataset("d", repro.graph.DirectedGraph.fromLabeledEdges(spark, Seq(("a", "b"))))
+    store.putDataset("d", graphOf((0L, 1L), (1L, 2L)))
+    val loaded = store.loadDataset("d")
+    assert(loaded.labels.isEmpty)
+    assert(loaded.edges.count() == 2)
+  }
+
+  test("storing a dataset in another format replaces the stored file") {
+    val f = Files.write(Files.createTempDirectory("upload").resolve("x.net"),
+      Seq("*Vertices 2", "1 \"a\"", "2 \"b\"", "*Arcs", "1 2").asJava)
+    val store = Datastore.temp(spark)
+    store.uploadDataset("d", f)
+    store.putDataset("d", graphOf((5L, 6L), (6L, 7L), (7L, 5L)))
+    val stored = Files.list(store.root.resolve("datasets")).iterator().asScala
+      .map(_.getFileName.toString).toSet
+    assert(stored == Set("d.csv"))
+    val loaded = store.loadDataset("d")
+    assert(loaded.labels.isEmpty)
+    assert(loaded.edges.count() == 3)
+    store.uploadDataset("d", f)
+    assert(store.loadDataset("d").edges.count() == 1)
+  }
+
+  test("uploading a dataset file again replaces it") {
+    val dir = Files.createTempDirectory("upload")
+    val one = Files.write(dir.resolve("one.net"), Seq("*Vertices 2", "*Arcs", "1 2").asJava)
+    val two = Files.write(dir.resolve("two.net"),
+      Seq("*Vertices 3", "*Arcs", "1 2", "2 3", "3 1").asJava)
+    val store = Datastore.temp(spark)
+    store.uploadDataset("d", one)
+    store.uploadDataset("d", two)
+    assert(store.loadDataset("d").edges.count() == 3)
+  }
+
+  test("storing a dataset leaves datasets with a longer name alone") {
+    val store = Datastore.temp(spark)
+    store.putDataset("wiki.en", graphOf((1L, 2L), (2L, 1L)))
+    store.putDataset("wiki", graphOf((1L, 2L)))
+    assert(store.datasetNames == Set("wiki", "wiki.en"))
+    assert(store.loadDataset("wiki.en").edges.count() == 2)
+  }
+
+  test("writeResult returns the number of rows it wrote") {
+    import spark.implicits._
+    val store = Datastore.temp(spark)
+    assert(store.writeResult("t", Seq((1L, 0.5), (2L, 0.25)).toDF("id", "score")) == 2)
+    assert(store.readResult("t").get.count() == 2)
+  }
+
   test("datastore rejects dataset names with a path separator") {
     val store = Datastore.temp(spark)
     val g = graphOf((1L, 2L))
