@@ -4,9 +4,11 @@ import scala.collection.mutable
 
 /** The CycleRank enumeration kernel — the analogue of the authors'
   * reference C++ implementation: a bounded-depth DFS that enumerates every
-  * simple cycle of length ≤ K through the reference node, pruned by
-  * forward/backward distance like [[CycleRank]]'s support.
-  * [[CycleRank.run]] runs it on the collected support.
+  * simple cycle of length ≤ K through the reference node. A path is
+  * extended to `w` only if the backward distance from `w` to the reference
+  * still lets the cycle close within K edges, which keeps the DFS inside
+  * [[CycleRank]]'s support. [[CycleRank.run]] runs it on the collected
+  * support.
   */
 object LocalCycleRank {
 
@@ -25,24 +27,19 @@ object LocalCycleRank {
     val radj = simple.groupMap(_._2)(_._1).map { case (k, v) => k -> v.toArray }
     val k = cfg.k
 
-    def bfs(start: Long, a: Map[Long, Array[Long]], cap: Int): mutable.Map[Long, Int] = {
-      val dist = mutable.Map(start -> 0)
-      var frontier = List(start)
-      var d = 0
-      while (frontier.nonEmpty && d < cap) {
-        d += 1
-        frontier = frontier
-          .flatMap(v => a.getOrElse(v, Array.empty[Long]))
-          .filterNot(dist.contains).distinct
-        frontier.foreach(v => dist(v) = d)
-      }
-      dist
+    // Backward distances to `ref`, up to K-1. A path of length d reaches w
+    // only if fdist(w) <= d, so requiring bdist(w) <= K - d keeps the DFS
+    // inside the support fdist + bdist <= K.
+    val bwd = mutable.Map(ref -> 0)
+    var frontier = List(ref)
+    var d = 0
+    while (frontier.nonEmpty && d < k - 1) {
+      d += 1
+      frontier = frontier
+        .flatMap(v => radj.getOrElse(v, Array.empty[Long]))
+        .filterNot(bwd.contains).distinct
+      frontier.foreach(v => bwd(v) = d)
     }
-
-    val fwd = bfs(ref, adj, k - 1)
-    val bwd = bfs(ref, radj, k - 1)
-    val support = fwd.keySet
-      .filter(v => bwd.contains(v) && fwd(v) + bwd(v) <= k)
 
     // Cycles per (vertex, length) are counted exactly; the scores are
     // summed from the counts in increasing length, so they do not depend
@@ -57,8 +54,8 @@ object LocalCycleRank {
         if (w == ref && path.length >= 2) {
           val n = path.length // cycle length in edges
           path.foreach(u => counts.getOrElseUpdate(u, new Array[Long](k + 1))(n) += 1)
-        } else if (path.length < k && !onPath.contains(w) && support.contains(w)
-                   && bwd(w) <= k - path.length) {
+        } else if (path.length < k && !onPath.contains(w)
+                   && bwd.get(w).exists(_ <= k - path.length)) {
           steps += 1
           require(steps <= maxSteps,
             s"CycleRank enumeration for reference $ref at K=$k exceeded its budget of " +

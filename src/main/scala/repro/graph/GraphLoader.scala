@@ -10,7 +10,9 @@ import org.apache.spark.sql.functions._
   * stateful sections are resolved by line number (only the two marker lines
   * are collected to the driver). Ids are read with `try_cast`, so a
   * non-numeric id becomes null and is rejected with a message naming the
-  * file, instead of failing inside Spark's ANSI cast.
+  * file, instead of failing inside Spark's ANSI cast. Nothing is cached:
+  * the Pajek and ASD checks each re-read the file, which the datastore
+  * does once per upload, and a cached frame would outlive the call.
   */
 object GraphLoader {
 
@@ -47,7 +49,6 @@ object GraphLoader {
       .map { case (row, i) => (i, row.getString(0).trim) }
       .toDF("lineno", "line")
       .where(length(col("line")) > 0 && !col("line").startsWith("%"))
-      .cache()
 
     def markerLine(re: String): Option[Long] = {
       val m = indexed.where(lower(col("line")).rlike(re)).select(min("lineno")).head()
@@ -96,7 +97,6 @@ object GraphLoader {
       .map { case (row, i) => (i, row.getString(0).trim) }
       .toDF("lineno", "line")
       .where(length(col("line")) > 0)
-      .cache()
     val first = indexed.orderBy("lineno").head()
     val (headerLine, header) = (first.getLong(0), first.getString(1))
     val hp = header.split("\\s+").flatMap(_.toLongOption)

@@ -12,7 +12,8 @@ import repro.graph.{DirectedGraph, GraphLoader}
   *
   * Layout under `root`:
   * {{{
-  *   datasets/<name>.<csv|net|asd>   uploaded graphs, by format extension
+  *   datasets/<name>.csv             every dataset's edges, one `src,dst` per line
+  *   datasets/<name>.labels          its `id<TAB>label` lines, if it has labels
   *   results/<taskId>/               result CSV (id,score) per finished task
   *   logs/<taskId>.log               execution log lines per task
   * }}}
@@ -22,54 +23,52 @@ final class Datastore(val root: Path, spark: SparkSession) {
   private val resultsDir  = Files.createDirectories(root.resolve("results"))
   private val logsDir     = Files.createDirectories(root.resolve("logs"))
 
-  /** Register ("upload") a dataset file; format is inferred from the
-    * extension, matching the demo's supported upload formats, and an
-    * unsupported extension is rejected here. Replaces everything stored
-    * under `name`.
+  /** Register ("upload") a dataset file: it is parsed once with the loader
+    * of its extension (the demo's supported upload formats; any other
+    * extension is rejected) and stored as [[putDataset]] stores a graph. A
+    * file that does not parse is rejected naming it, and whatever was
+    * stored under `name` stays as it was.
     */
   def uploadDataset(name: String, sourceFile: Path): Unit = {
     checkName(name)
     val ext = extensionOf(sourceFile.getFileName.toString)
-    loaderFor(ext)
-    storedFiles(name).foreach(Files.delete)
-    Files.copy(sourceFile, datasetsDir.resolve(s"$name.$ext"))
+    putDataset(name, loaderFor(ext)(spark, sourceFile.toString))
   }
 
-  /** Register an in-memory graph as an edgelist-CSV dataset. Replaces
-    * everything stored under `name`.
+  /** Register a graph: its edges go to `<name>.csv`, its labels (if any)
+    * to `<name>.labels`. Both are collected before anything is written;
+    * labels stored under `name` before are deleted when `g` has none.
     */
   def putDataset(name: String, g: DirectedGraph): Unit = {
     checkName(name)
     val rows = g.edges.select(col("src"), col("dst")).collect()
       .map(r => s"${r.getLong(0)},${r.getLong(1)}")
-    storedFiles(name).foreach(Files.delete)
+    val lab = g.labels.map(_.collect().map(r => s"${r.getLong(0)}\t${r.getString(1)}"))
     Files.write(datasetsDir.resolve(s"$name.csv"), rows.toSeq.asJava)
-    g.labels.foreach { l =>
-      val lab = l.collect().map(r => s"${r.getLong(0)}\t${r.getString(1)}")
-      Files.write(datasetsDir.resolve(s"$name.labels"), lab.toSeq.asJava)
+    val labelFile = datasetsDir.resolve(s"$name.labels")
+    lab match {
+      case Some(l) => Files.write(labelFile, l.toSeq.asJava)
+      case None    => Files.deleteIfExists(labelFile)
     }
   }
 
   /** Names of all registered datasets. */
   def datasetNames: Set[String] =
-    Files.list(datasetsDir).iterator().asScala
+    Using.resource(Files.list(datasetsDir))(_.iterator().asScala
       .map(_.getFileName.toString)
-      .filterNot(_.endsWith(".labels"))
-      .map(baseName)
-      .toSet
+      .collect { case f if f.endsWith(".csv") => f.stripSuffix(".csv") }
+      .toSet)
 
-  /** Load a dataset by name, dispatching on its stored format. Only a
-    * file whose name minus its extension is exactly `name` matches.
+  /** Load a dataset by its exact name: `<name>.csv` with the labels in
+    * `<name>.labels`, if there are any.
     */
   def loadDataset(name: String): DirectedGraph = {
     checkName(name)
-    val file = storedFiles(name)
-      .find(f => !f.getFileName.toString.endsWith(".labels"))
-      .getOrElse(throw new IllegalArgumentException(s"dataset '$name' not found"))
-    val path = file.toString
-    val g = loaderFor(extensionOf(path))(spark, path)
+    val file = datasetsDir.resolve(s"$name.csv")
+    require(Files.exists(file), s"dataset '$name' not found")
+    val g = GraphLoader.edgeListCsv(spark, file.toString)
     val labelFile = datasetsDir.resolve(s"$name.labels")
-    if (Files.exists(labelFile) && g.labels.isEmpty) {
+    if (Files.exists(labelFile)) {
       import spark.implicits._
       val labels = Files.readAllLines(labelFile).asScala.toSeq
         .map(_.split("\t", 2)).map(a => (a(0).toLong, a(1)))
@@ -123,16 +122,9 @@ final class Datastore(val root: Path, spark: SparkSession) {
       s"unsupported dataset format .$other; supported: .csv, .net, .asd")
   }
 
-  /** The stored files of dataset `name`, in any format, and its labels. */
-  private def storedFiles(name: String): Seq[Path] =
-    Using.resource(Files.list(datasetsDir))(_.iterator().asScala
-      .filter(f => baseName(f.getFileName.toString) == name).toSeq)
-
   private def checkName(name: String): Unit =
     require(!name.contains('/') && !name.contains('\\'),
       s"dataset '$name' must not contain a path separator")
-
-  private def baseName(file: String): String = file.substring(0, file.lastIndexOf('.'))
 
   private def extensionOf(name: String): String = {
     val i = name.lastIndexOf('.')

@@ -135,6 +135,15 @@ class GraphLoaderSpec extends SparkSpec with GraphTestKit {
     intercept[IllegalArgumentException](GraphLoader.asd(spark, f.toString))
   }
 
+  test("pajek and asd persist no RDD") {
+    val net = tmpFile("g.net", Seq("*Vertices 2", "1 \"a\"", "2 \"b\"", "*Arcs", "1 2"))
+    val asd = tmpFile("g.asd", Seq("3 2", "0 1", "1 2"))
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    assert(GraphLoader.pajek(spark, net.toString).numEdges == 1)
+    assert(GraphLoader.asd(spark, asd.toString).numEdges == 2)
+    assert(spark.sparkContext.getPersistentRDDs.keySet == before)
+  }
+
   test("round-trip: algorithms agree across formats of the same graph") {
     val csv = tmpFile("g.csv", Seq("0,1", "1,0", "1,2", "2,0"))
     val asd = tmpFile("g.asd", Seq("3 4", "0 1", "1 0", "1 2", "2 0"))

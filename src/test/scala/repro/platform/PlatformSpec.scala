@@ -2,9 +2,10 @@ package repro.platform
 
 import java.nio.file.Files
 import scala.jdk.CollectionConverters._
+import scala.util.Using
 import repro.SparkSpec
 import repro.core.{CheiRank, CycleRank, GraphTestKit, PageRank, Scoring, TwoDRank}
-import repro.graph.GraphLoader
+import repro.graph.{DirectedGraph, GraphLoader}
 
 /** End-to-end tests of the headless demo platform: task builder →
   * scheduler → executor → status → datastore (paper §III).
@@ -204,6 +205,56 @@ class PlatformSpec extends SparkSpec with GraphTestKit {
     val e = intercept[IllegalArgumentException](store.uploadDataset("g", f))
     assert(e.getMessage.contains("unsupported dataset format .txt"), e.getMessage)
     assert(store.datasetNames.isEmpty)
+  }
+
+  /** The names of the files in the datastore's datasets directory. */
+  private def storedFiles(store: Datastore): Set[String] =
+    Using.resource(Files.list(store.root.resolve("datasets")))(
+      _.iterator().asScala.map(_.getFileName.toString).toSet)
+
+  private def edgeSet(g: DirectedGraph): Set[(Long, Long)] =
+    g.edges.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+
+  private def labelMap(g: DirectedGraph): Map[Long, String] =
+    g.labels.get.collect().map(r => r.getLong(0) -> r.getString(1)).toMap
+
+  test("a malformed upload is rejected naming its file and leaves the stored dataset alone") {
+    val dir = Files.createTempDirectory("upload")
+    val net = Files.write(dir.resolve("bad.net"),
+      Seq("*Vertices 2", "1 \"a\"", "2 \"b\"", "*Arcs", "1 x").asJava)
+    val asd = Files.write(dir.resolve("bad.asd"), Seq("5 5", "0 1").asJava)
+    val store = Datastore.temp(spark)
+    store.putDataset("d", DirectedGraph.fromLabeledEdges(spark, Seq(("a", "b"), ("b", "c"))))
+    val stored = storedFiles(store)
+    for (f <- Seq(net, asd); name <- Seq("d", "new")) {
+      val e = intercept[IllegalArgumentException](store.uploadDataset(name, f))
+      assert(e.getMessage.contains(f.toString), e.getMessage)
+    }
+    assert(store.datasetNames == Set("d"))
+    assert(storedFiles(store) == stored)
+    val loaded = store.loadDataset("d")
+    assert(edgeSet(loaded) == Set((0L, 1L), (1L, 2L)))
+    assert(labelMap(loaded) == Map(0L -> "a", 1L -> "b", 2L -> "c"))
+  }
+
+  test("an uploaded Pajek or ASD file is stored as an edge-list CSV plus its labels") {
+    val dir = Files.createTempDirectory("upload")
+    val net = Files.write(dir.resolve("g.net"), Seq(
+      "*Vertices 3", "1 \"a\"", "2", "3 \"c\"", "*Arcs", "1 2", "*Edges", "2 3").asJava)
+    val asd = Files.write(dir.resolve("g.asd"), Seq("4 2", "0 1", "1 2").asJava)
+    val store = Datastore.temp(spark)
+    store.uploadDataset("pj", net)
+    store.uploadDataset("as", asd)
+    assert(storedFiles(store) == Set("pj.csv", "pj.labels", "as.csv", "as.labels"))
+    val direct = Seq("pj" -> GraphLoader.pajek(spark, net.toString),
+                     "as" -> GraphLoader.asd(spark, asd.toString))
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    for (_ <- 1 to 2; (name, g) <- direct) {
+      val loaded = store.loadDataset(name)
+      assert(edgeSet(loaded) == edgeSet(g), name)
+      assert(labelMap(loaded) == labelMap(g), name)
+    }
+    assert(spark.sparkContext.getPersistentRDDs.keySet == before, "a load persisted an RDD")
   }
 
   test("uploaded Pajek and ASD files run through the scheduler like direct engine calls") {
