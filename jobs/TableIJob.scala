@@ -23,7 +23,7 @@ object TableIJob {
 /** Shared local-mode session factory for the job entrypoints. */
 object JobSession {
   def create(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"repro-$name")
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

@@ -1,114 +1,113 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import java.nio.charset.CodingErrorAction
+import scala.collection.mutable
+import scala.io.{Codec, Source}
+import scala.util.Using
+import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.functions.col
 
 /** Loaders for the demo's three upload formats (paper §IV-B): edgelist CSV,
-  * Pajek, and the authors' ASD format.
-  *
-  * Parsing is distributed: files are read with `spark.read.text`; Pajek's
-  * stateful sections are resolved by line number (only the two marker lines
-  * are collected to the driver). Ids are read with `try_cast`, so a
-  * non-numeric id becomes null and is rejected with a message naming the
-  * file, instead of failing inside Spark's ANSI cast. Nothing is cached:
-  * the Pajek and ASD checks each re-read the file, which the datastore
-  * does once per upload, and a cached frame would outlive the call.
+  * Pajek, and the authors' ASD format. Each reads its file once on the
+  * driver, so a load starts no Spark job. Ids parse as Spark's `try_cast` to
+  * long: `+5` is 5; `1.5`, `0x10` and `x` are rejected. A rejection names
+  * the file, the 1-based line number and the line.
   */
 object GraphLoader {
 
-  /** `(src, dst)` from the first two fields of each line, split on `sep`. */
-  private def endpoints(lines: DataFrame, sep: String): DataFrame = {
-    val p = split(col("line"), sep)
-    lines.select(element_at(p, 1).try_cast("long").as("src"),
-                 element_at(p, 2).try_cast("long").as("dst"))
+  /** The file's non-blank lines, trimmed, with their 1-based numbers; bytes
+    * that are not UTF-8 read as U+FFFD, as in Spark's text reader.
+    */
+  private def numberedLines(path: String): Vector[(Int, String)] = {
+    val codec = Codec.UTF8.onMalformedInput(CodingErrorAction.REPLACE)
+    Using.resource(Source.fromFile(path)(codec))(source =>
+      Iterator.from(1).zip(source.getLines().map(_.trim)).filter(_._2.nonEmpty).toVector)
   }
 
-  private def requireNumeric(edges: DataFrame, what: String): Unit =
-    require(edges.where(col("src").isNull || col("dst").isNull).isEmpty,
-      s"$what contains non-numeric endpoints")
+  private def reject(what: String, problem: String, lineNo: Int, line: String): Nothing =
+    throw new IllegalArgumentException(s"$what $problem at line $lineNo: '$line'")
+
+  /** `(src, dst)` from the first two fields of `line`, split on `sep`. */
+  private def endpoints(what: String, lineNo: Int, line: String, sep: String): (Long, Long) =
+    line.split(sep).take(2).flatMap(_.toLongOption) match {
+      case Array(src, dst) => (src, dst)
+      case _ => reject(what, "contains non-numeric endpoints", lineNo, line)
+    }
 
   /** Edgelist CSV: one `src,dst` pair per line; `#` comments and blank
     * lines are ignored; the separator may be a comma, semicolon, tab or
     * whitespace (Gephi's CSV dialect family).
     */
   def edgeListCsv(spark: SparkSession, path: String): DirectedGraph = {
-    val lines = spark.read.text(path)
-      .select(trim(col("value")).as("line"))
-      .where(length(col("line")) > 0 && !col("line").startsWith("#"))
-    val edges = endpoints(lines, "[,;\\s]+")
-    requireNumeric(edges, s"edgelist $path")
-    GraphOps.clean(DirectedGraph(edges))
+    import spark.implicits._
+    val edges = numberedLines(path).collect {
+      case (no, line) if !line.startsWith("#") => endpoints(s"edgelist $path", no, line, "[,;\\s]+")
+    }
+    GraphOps.clean(DirectedGraph(edges.toDF("src", "dst")))
   }
 
-  /** Pajek .net: `*Vertices N` followed by `id "label"` lines, then `*Arcs`
-    * (directed) and/or `*Edges` (undirected — loaded in both directions).
+  private val QuotedLabel = "\"([^\"]*)\"".r
+
+  /** Pajek .net: `*Vertices N` followed by `id "label"` lines (an unlabelled
+    * vertex is labelled with its id), then `*Arcs` (directed) and/or `*Edges`
+    * (undirected — loaded in both directions). Markers are case-insensitive
+    * and may repeat; `%` lines are comments.
     */
   def pajek(spark: SparkSession, path: String): DirectedGraph = {
     import spark.implicits._
-    val indexed = spark.read.text(path).rdd.zipWithIndex()
-      .map { case (row, i) => (i, row.getString(0).trim) }
-      .toDF("lineno", "line")
-      .where(length(col("line")) > 0 && !col("line").startsWith("%"))
-
-    def markerLine(re: String): Option[Long] = {
-      val m = indexed.where(lower(col("line")).rlike(re)).select(min("lineno")).head()
-      if (m.isNullAt(0)) None else Some(m.getLong(0))
+    val what = s"pajek $path"
+    val edges = mutable.ArrayBuffer.empty[(Long, Long)]
+    val labels = mutable.LinkedHashMap.empty[Long, (Int, String)] // id -> (line number, label)
+    var section = "" // the last marker's first word, lower-cased
+    var sawVertices = false
+    for ((no, line) <- numberedLines(path) if !line.startsWith("%")) {
+      if (line.startsWith("*")) {
+        section = line.split("\\s+")(0).toLowerCase
+        sawVertices ||= section == "*vertices"
+      } else section match {
+        case "*vertices" =>
+          val id = line.takeWhile(_.isDigit).toLongOption
+            .getOrElse(reject(what, "has a vertex line with no numeric id", no, line))
+          labels.get(id).foreach { case (first, _) =>
+            reject(what, s"declares vertex $id twice, at line $first and", no, line) }
+          val label = QuotedLabel.findFirstMatchIn(line).map(_.group(1)).filter(_.nonEmpty)
+          labels(id) = (no, label.getOrElse(id.toString))
+        case "*arcs" => edges += endpoints(what, no, line, "\\s+")
+        case "*edges" =>
+          val (src, dst) = endpoints(what, no, line, "\\s+")
+          edges += ((src, dst)) += ((dst, src))
+        case _ => reject(what, "has a line outside a *Vertices, *Arcs or *Edges section", no, line)
+      }
     }
-    val vStart = markerLine("^\\*vertices").getOrElse(
-      throw new IllegalArgumentException(s"pajek $path: missing *Vertices"))
-    val aStart = markerLine("^\\*arcs")
-    val eStart = markerLine("^\\*edges")
-    val sectionEnds = Seq(aStart, eStart).flatten.sorted
-    val vEnd = sectionEnds.headOption.getOrElse(Long.MaxValue)
-
-    val vertexLines = indexed
-      .where(col("lineno") > vStart && col("lineno") < vEnd)
-    val labels = vertexLines.select(
-      regexp_extract(col("line"), "^(\\d+)", 1).try_cast("long").as("id"),
-      regexp_extract(col("line"), "\"([^\"]*)\"", 1).as("rawlabel"))
-      .select(col("id"),
-        when(col("rawlabel") === "", col("id").cast("string"))
-          .otherwise(col("rawlabel")).as("label"))
-
-    def pairsIn(start: Option[Long]): DataFrame = start match {
-      case None => spark.emptyDataset[(Long, Long)].toDF("src", "dst")
-      case Some(s) =>
-        val end = sectionEnds.find(_ > s).getOrElse(Long.MaxValue)
-        endpoints(indexed.where(col("lineno") > s && col("lineno") < end), "\\s+")
-    }
-    val arcs  = pairsIn(aStart)
-    val undir = pairsIn(eStart)
-    requireNumeric(arcs.union(undir), s"pajek $path")
-    require(labels.where(col("id").isNull).isEmpty, s"pajek $path: a vertex line has no numeric id")
-    val edges = arcs
-      .union(undir)
-      .union(undir.select(col("dst").as("src"), col("src").as("dst")))
-    GraphOps.clean(DirectedGraph(edges, Some(labels)))
+    require(sawVertices, s"$what: missing *Vertices")
+    val labelRows = labels.toSeq.map { case (id, (_, label)) => (id, label) }.toDF("id", "label")
+    GraphOps.clean(DirectedGraph(edges.toSeq.toDF("src", "dst"), Some(labelRows)))
   }
 
-  /** ASD (authors' format, spec assumed per DESIGN.md): first line `N M`,
-    * then `M` lines `src dst` with 0-based ids. The header is validated
-    * against the body. The graph has all `N` vertices, isolated ones
-    * included: they are id-labelled.
+  /** ASD (authors' format, spec assumed per DESIGN.md): a header `N M`, then
+    * `M` lines `src dst` with ids in `[0, N)`. The graph has all `N` vertices;
+    * isolated ones are id-labelled.
     */
   def asd(spark: SparkSession, path: String): DirectedGraph = {
     import spark.implicits._
-    val indexed = spark.read.text(path).rdd.zipWithIndex()
-      .map { case (row, i) => (i, row.getString(0).trim) }
-      .toDF("lineno", "line")
-      .where(length(col("line")) > 0)
-    val first = indexed.orderBy("lineno").head()
-    val (headerLine, header) = (first.getLong(0), first.getString(1))
-    val hp = header.split("\\s+").flatMap(_.toLongOption)
-    require(hp.length == 2, s"ASD $path: header must be 'N M', got '$header'")
-    val Array(n, m) = hp
-    val body = endpoints(indexed.where(col("lineno") > headerLine), "\\s+")
-    require(body.count() == m, s"ASD $path: header declares $m edges")
-    requireNumeric(body, s"ASD $path")
-    val bad = body.where(col("src") < 0 || col("src") >= n ||
-                         col("dst") < 0 || col("dst") >= n)
-    require(bad.isEmpty, s"ASD $path: edge endpoints outside [0, $n)")
+    val what = s"ASD $path"
+    val lines = numberedLines(path)
+    require(lines.nonEmpty, s"$what has no header line 'N M'")
+    val (headerNo, header) = lines.head
+    val (n, m) = header.split("\\s+").map(_.toLongOption) match {
+      case Array(Some(n), Some(m)) if n >= 0 && m >= 0 => (n, m)
+      case _ => reject(what, "needs a header 'N M' with N, M >= 0", headerNo, header)
+    }
+    val body = lines.tail
+    if (body.length != m)
+      reject(what, s"header declares $m edges but the body has ${body.length}; header", headerNo, header)
+    val edges = body.map { case (no, line) =>
+      val (src, dst) = endpoints(what, no, line, "\\s+")
+      if (src < 0 || src >= n || dst < 0 || dst >= n)
+        reject(what, s"has an edge endpoint outside [0, $n)", no, line)
+      (src, dst)
+    }
     val vertices = spark.range(n).select(col("id"), col("id").cast("string").as("label"))
-    GraphOps.clean(DirectedGraph(body, Some(vertices)))
+    GraphOps.clean(DirectedGraph(edges.toDF("src", "dst"), Some(vertices)))
   }
 }

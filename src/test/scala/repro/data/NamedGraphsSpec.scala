@@ -1,7 +1,7 @@
 package repro.data
 
 import repro.SparkSpec
-import repro.core.{CycleRank, GraphTestKit, Scoring}
+import repro.core.{CycleRank, GraphTestKit}
 import repro.experiments.Tables
 
 /** Structural invariants of the planted table graphs. */

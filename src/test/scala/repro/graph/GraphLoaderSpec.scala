@@ -1,9 +1,13 @@
 package repro.graph
 
 import java.nio.file.{Files, Path}
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
 import scala.jdk.CollectionConverters._
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
 import repro.core.GraphTestKit
+import repro.platform.Datastore
 
 /** Loaders for the demo's three upload formats. */
 class GraphLoaderSpec extends SparkSpec with GraphTestKit {
@@ -25,9 +29,9 @@ class GraphLoaderSpec extends SparkSpec with GraphTestKit {
   }
 
   test("edgelist CSV: whitespace and semicolon separators, comments, blanks") {
-    val f = tmpFile("g.csv", Seq("# a comment", "", "1 2", "2;3", "3\t1"))
+    val f = tmpFile("g.csv", Seq("# a comment", "", "1 2", "2;3", "3\t1", "+3,+4"))
     assert(edgeSet(GraphLoader.edgeListCsv(spark, f.toString)) ==
-      Set((1L, 2L), (2L, 3L), (3L, 1L)))
+      Set((1L, 2L), (2L, 3L), (3L, 1L), (3L, 4L)))
   }
 
   test("edgelist CSV: duplicates and self-loops are cleaned") {
@@ -40,9 +44,12 @@ class GraphLoaderSpec extends SparkSpec with GraphTestKit {
     intercept[IllegalArgumentException](load).getMessage
 
   test("edgelist CSV: non-numeric endpoint is rejected") {
-    val f = tmpFile("g.csv", Seq("1,2", "x,3"))
-    val msg = rejection(GraphLoader.edgeListCsv(spark, f.toString))
-    assert(msg.contains(s"edgelist $f contains non-numeric endpoints"), msg)
+    for (bad <- Seq("x", "1.5", "0x10")) {
+      val f = tmpFile("g.csv", Seq("1,2", s"$bad,3"))
+      val msg = rejection(GraphLoader.edgeListCsv(spark, f.toString))
+      assert(msg.contains(s"edgelist $f contains non-numeric endpoints"), msg)
+      assert(msg.contains(s"line 2: '$bad,3'"), msg)
+    }
   }
 
   test("pajek: vertices with labels and arcs") {
@@ -91,6 +98,25 @@ class GraphLoaderSpec extends SparkSpec with GraphTestKit {
     val f = tmpFile("g.net", Seq("*Vertices 2", "1 \"a\"", "2 \"b\"", "*Arcs", "1 x"))
     val msg = rejection(GraphLoader.pajek(spark, f.toString))
     assert(msg.contains(s"pajek $f contains non-numeric endpoints"), msg)
+    assert(msg.contains("line 5: '1 x'"), msg)
+  }
+
+  test("pajek: a vertex id declared twice is rejected naming the file and both lines") {
+    val f = tmpFile("g.net", Seq(
+      "*Vertices 3", "1 \"a\"", "1 \"b\"", "2 \"c\"", "*Arcs", "1 2"))
+    val msg = rejection(GraphLoader.pajek(spark, f.toString))
+    assert(msg.contains(s"pajek $f") && msg.contains("line 2") && msg.contains("line 3: '1 \"b\"'"),
+      msg)
+  }
+
+  test("pajek: a repeated *Arcs or *Edges marker starts another section of that kind") {
+    val arcs = tmpFile("g.net", Seq(
+      "*Vertices 3", "*Arcs :1 \"likes\"", "1 2", "*Arcs :2 \"cites\"", "2 3"))
+    assert(edgeSet(GraphLoader.pajek(spark, arcs.toString)) == Set((1L, 2L), (2L, 3L)))
+    val mixed = tmpFile("g.net", Seq(
+      "*Vertices 3", "*Edges", "1 2", "*Arcs", "2 3", "*Edges", "3 1"))
+    assert(edgeSet(GraphLoader.pajek(spark, mixed.toString)) ==
+      Set((1L, 2L), (2L, 1L), (2L, 3L), (3L, 1L), (1L, 3L)))
   }
 
   test("pajek: missing *Vertices is rejected") {
@@ -123,6 +149,7 @@ class GraphLoaderSpec extends SparkSpec with GraphTestKit {
     val f = tmpFile("g.asd", Seq("3 2", "0 1", "1 x"))
     val msg = rejection(GraphLoader.asd(spark, f.toString))
     assert(msg.contains(s"ASD $f contains non-numeric endpoints"), msg)
+    assert(msg.contains("line 3: '1 x'"), msg)
   }
 
   test("asd: isolated vertices declared by N are kept") {
@@ -133,6 +160,61 @@ class GraphLoaderSpec extends SparkSpec with GraphTestKit {
   test("asd: malformed header is rejected") {
     val f = tmpFile("g.asd", Seq("banana", "0 1"))
     intercept[IllegalArgumentException](GraphLoader.asd(spark, f.toString))
+  }
+
+  test("asd: an empty or all-blank file is rejected naming the file") {
+    for (lines <- Seq(Seq.empty[String], Seq("", "  ", "\t"))) {
+      val f = tmpFile("g.asd", lines)
+      val msg = rejection(GraphLoader.asd(spark, f.toString))
+      assert(msg.contains(s"ASD $f"), msg)
+    }
+  }
+
+  test("asd: a negative vertex or edge count is rejected naming the file") {
+    for (header <- Seq("-1 0", "3 -1")) {
+      val f = tmpFile("g.asd", Seq(header))
+      val msg = rejection(GraphLoader.asd(spark, f.toString))
+      assert(msg.contains(s"ASD $f") && msg.contains(s"line 1: '$header'"), msg)
+    }
+  }
+
+  /** The number of Spark jobs `f` starts. Listener events arrive
+    * asynchronously, in order: once a sentinel job's start has been
+    * delivered, so has every earlier job's.
+    */
+  private def jobsStartedBy(f: => Any): Int = {
+    val sc = spark.sparkContext
+    val sentinel = "graph-loader-spec-sentinel"
+    val started = new AtomicInteger
+    val sentinelSeen = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == sentinel))
+          sentinelSeen.countDown()
+        else started.incrementAndGet()
+    }
+    sc.addSparkListener(listener)
+    try {
+      f
+      sc.setJobGroup(sentinel, sentinel)
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      assert(sentinelSeen.await(30, TimeUnit.SECONDS), "the sentinel job was never reported")
+      started.get
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("the three loaders and a dataset load start no Spark job") {
+    val csv = tmpFile("g.csv", Seq("1,2", "2,3", "3,1"))
+    val net = tmpFile("g.net", Seq("*Vertices 2", "1 \"a\"", "2 \"b\"", "*Arcs", "1 2"))
+    val asd = tmpFile("g.asd", Seq("3 2", "0 1", "1 2"))
+    val store = Datastore.temp(spark)
+    store.uploadDataset("d", net)
+    val jobs = Seq(
+      "edgeListCsv" -> jobsStartedBy(GraphLoader.edgeListCsv(spark, csv.toString)),
+      "pajek" -> jobsStartedBy(GraphLoader.pajek(spark, net.toString)),
+      "asd" -> jobsStartedBy(GraphLoader.asd(spark, asd.toString)),
+      "loadDataset" -> jobsStartedBy(store.loadDataset("d")))
+    assert(jobs.forall(_._2 == 0), jobs)
   }
 
   test("pajek and asd persist no RDD") {

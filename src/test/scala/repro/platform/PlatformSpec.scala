@@ -226,9 +226,9 @@ class PlatformSpec extends SparkSpec with GraphTestKit {
     val store = Datastore.temp(spark)
     store.putDataset("d", DirectedGraph.fromLabeledEdges(spark, Seq(("a", "b"), ("b", "c"))))
     val stored = storedFiles(store)
-    for (f <- Seq(net, asd); name <- Seq("d", "new")) {
+    for ((f, line) <- Seq(net -> "line 5: '1 x'", asd -> "line 1: '5 5'"); name <- Seq("d", "new")) {
       val e = intercept[IllegalArgumentException](store.uploadDataset(name, f))
-      assert(e.getMessage.contains(f.toString), e.getMessage)
+      assert(e.getMessage.contains(f.toString) && e.getMessage.contains(line), e.getMessage)
     }
     assert(store.datasetNames == Set("d"))
     assert(storedFiles(store) == stored)
