@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.graph.{DirectedGraph, GraphOps}
 
 /** CycleRank (paper §II, Eq. 1; Consonni et al. 2020).
@@ -12,14 +11,18 @@ import repro.graph.{DirectedGraph, GraphOps}
   *
   * Evaluated in two steps:
   *
-  *  1. '''Prune''' (distributed) — one capped BFS loop from r advances the
-  *     forward and the backward frontier together, K−1 levels at most, one
-  *     Spark action per level ([[GraphOps.cappedBfs]]). A vertex can lie on
-  *     a qualifying cycle only if `distₒᵤₜ(r,v) + distᵢₙ(v,r) ≤ K`; these
-  *     vertices form the support. On hub-and-community graphs it is orders
-  *     of magnitude smaller than the graph.
+  *  1. '''Prune''' (distributed) — r must be a vertex of the graph's
+  *     [[repro.graph.IndexedGraph]] (an id lookup on the driver). One
+  *     capped BFS loop from r then advances the forward and the backward
+  *     frontier together, K−1 levels at most, each level one narrow Spark
+  *     job over the index's out- and in-adjacency with the frontiers
+  *     broadcast: no join, `distinct` or shuffle ([[GraphOps.cappedBfs]]).
+  *     A vertex can lie on a qualifying cycle only if
+  *     `distₒᵤₜ(r,v) + distᵢₙ(v,r) ≤ K`; these vertices form the support.
+  *     On hub-and-community graphs it is orders of magnitude smaller than
+  *     the graph.
   *  2. '''Kernel''' (driver) — the edges with both endpoints in the support
-  *     are collected in one action and handed to
+  *     are collected in one narrow job ([[supportEdges]]) and handed to
   *     [[LocalCycleRank.runOnEdges]], which enumerates every simple cycle of
   *     length ≤ K through r by bounded DFS (Johnson-style), within a budget
   *     of [[MaxKernelSteps]] path extensions, and credits
@@ -45,24 +48,22 @@ object CycleRank {
 
   /** Maximum number of path extensions the kernel's DFS makes for one
     * query: the enumeration is exponential in K, and a dense support within
-    * [[MaxDriverEdges]] can hold ~10¹² paths of length < 5. On complete
-    * digraphs an extension took 0.5 µs at degree 40–60 and 1.7–1.9 µs at
-    * degree 200 (4-core VM), so the kernel gives up within about a minute
-    * on supports up to that density. The largest bench query (cr-large,
-    * K=5) makes 32 856 extensions.
+    * [[MaxDriverEdges]] can hold ~10¹² paths of length < 5. An extension
+    * scans the new vertex's out-neighbours, so its cost grows with the
+    * degree: on complete digraphs it took 0.10 µs at degree 39, 0.35 µs at
+    * degree 199 and 2.0 µs at degree 999 (4-core VM, median of 3), so the
+    * kernel gives up within about 7 s at degree 200 and 40 s at degree
+    * 1 000. Extrapolated linearly, that is about 1.5 minutes at degree
+    * ~2 200, the densest support [[MaxDriverEdges]] admits. The largest
+    * bench query (cr-large, K=5) makes 32 856 extensions.
     */
   val MaxKernelSteps: Long = 20_000_000L
 
   /** CycleRank of `ref`. Returns `(id, score)` with `score > 0`. */
   def run(g: DirectedGraph, ref: Long, cfg: Config = Config()): DataFrame = {
     val spark = g.edges.sparkSession
+    require(g.index.contains(ref), s"reference node $ref is not in the graph")
     val (fwd, bwd) = GraphOps.cappedBfs(g, ref, cfg.k - 1)
-    if (fwd.size == 1 && bwd.size == 1) {
-      // Level 1 reached nothing: r has no edge, and may not exist at all.
-      require(!g.vertices.where(col("id") === ref).isEmpty,
-        s"reference node $ref is not in the graph")
-      return scoresDf(spark, Map.empty)
-    }
     val support = fwd.keySet.filter(v => bwd.get(v).exists(_ + fwd(v) <= cfg.k))
     // With a support of r alone, r shares no cycle of length ≤ K.
     if (support.size <= 1) return scoresDf(spark, Map.empty)
@@ -71,18 +72,28 @@ object CycleRank {
   }
 
   /** The edges with both endpoints in `support`, collected to the driver
-    * in one action; fails naming `ref`, `k` and `limit` when there are
-    * more than `limit` of them.
+    * in one narrow job: each partition of the out-adjacency keeps the rows
+    * and neighbours in a broadcast bit set of the support's indices. Fails
+    * naming `ref`, `k` and `limit` when there are more than `limit` of them.
     */
   private[core] def supportEdges(g: DirectedGraph, support: Set[Long], ref: Long, k: Int,
                                  limit: Int): Seq[(Long, Long)] = {
-    val ids = support.toSeq
-    val edges = g.edges.where(col("src").isin(ids: _*) && col("dst").isin(ids: _*))
-      .limit(limit + 1).collect().map(r => (r.getLong(0), r.getLong(1)))
+    val ix = g.index
+    val inSupport = new java.util.BitSet(ix.numVertices)
+    support.iterator.map(ix.indexOf).filter(_ >= 0).foreach(inSupport.set)
+    val bSupport = ix.out.sparkContext.broadcast(inSupport)
+    val parts = ix.out.mapPartitions { rows =>
+      val s = bSupport.value
+      val kept = rows.filter(r => s.get(r._1))
+        .flatMap { case (v, ws) => ws.iterator.filter(s.get).map(w => (v, w)) }
+      Iterator.single(kept.take(limit + 1).toArray)
+    }.collect()
+    bSupport.destroy()
+    val edges = parts.iterator.flatten.take(limit + 1).toArray
     require(edges.length <= limit,
       s"CycleRank support of reference $ref at K=$k has more than $limit edges, " +
       "the most the driver kernel takes")
-    edges.toSeq
+    edges.toSeq.map { case (v, w) => (ix.ids(v), ix.ids(w)) }
   }
 
   private def scoresDf(spark: SparkSession, scores: Map[Long, Double]): DataFrame = {

@@ -22,53 +22,81 @@ object LocalCycleRank {
   /** [[runOnEdges]] with at most `maxSteps` path extensions. */
   private[core] def runOnEdges(edges: Seq[(Long, Long)], ref: Long, cfg: CycleRank.Config,
                                maxSteps: Long): Map[Long, Double] = {
-    val simple = edges.filter { case (s, d) => s != d }.distinct
-    val adj  = simple.groupMap(_._1)(_._2).map { case (k, v) => k -> v.toArray }
-    val radj = simple.groupMap(_._2)(_._1).map { case (k, v) => k -> v.toArray }
+    // Relabel the vertices to 0 until n once (ref is 0); the DFS then reads
+    // only int arrays.
+    val index = mutable.LongMap(ref -> 0)
+    def idx(v: Long): Int = index.getOrElseUpdate(v, index.size)
+    val simple = edges.iterator.filter { case (s, d) => s != d }.distinct
+      .map { case (s, d) => (idx(s), idx(d)) }.toArray
+    val n = index.size
+    val ids = new Array[Long](n)
+    index.foreachEntry((v, i) => ids(i) = v)
+    val adj  = csr(n, simple)
+    val radj = csr(n, simple.map(_.swap))
     val k = cfg.k
+    val r = 0
 
-    // Backward distances to `ref`, up to K-1. A path of length d reaches w
-    // only if fdist(w) <= d, so requiring bdist(w) <= K - d keeps the DFS
-    // inside the support fdist + bdist <= K.
-    val bwd = mutable.Map(ref -> 0)
-    var frontier = List(ref)
+    // Backward distances to r, up to K-1 (Int.MaxValue beyond). A path of
+    // length d reaches w only if fdist(w) <= d, so requiring
+    // bdist(w) <= K - d keeps the DFS inside the support fdist + bdist <= K.
+    val bdist = Array.fill(n)(Int.MaxValue)
+    bdist(r) = 0
+    var frontier = Array(r)
     var d = 0
     while (frontier.nonEmpty && d < k - 1) {
       d += 1
-      frontier = frontier
-        .flatMap(v => radj.getOrElse(v, Array.empty[Long]))
-        .filterNot(bwd.contains).distinct
-      frontier.foreach(v => bwd(v) = d)
+      frontier = frontier.flatMap(v => radj(v)).filter(bdist(_) == Int.MaxValue).distinct
+      frontier.foreach(v => bdist(v) = d)
     }
 
     // Cycles per (vertex, length) are counted exactly; the scores are
     // summed from the counts in increasing length, so they do not depend
     // on edge order and exact ties stay exact.
-    val counts = mutable.LongMap.empty[Array[Long]]
-    val path = mutable.ArrayBuffer[Long](ref)
-    val onPath = mutable.Set[Long](ref)
+    val counts = new Array[Array[Long]](n)
+    val path = new Array[Int](k)
+    var len = 1 // path(0 until len) is the current path, path(0) = r
+    val onPath = new Array[Boolean](n)
+    onPath(r) = true
     var steps = 0L
 
-    def dfs(v: Long): Unit = {
-      for (w <- adj.getOrElse(v, Array.empty[Long])) {
-        if (w == ref && path.length >= 2) {
-          val n = path.length // cycle length in edges
-          path.foreach(u => counts.getOrElseUpdate(u, new Array[Long](k + 1))(n) += 1)
-        } else if (path.length < k && !onPath.contains(w)
-                   && bwd.get(w).exists(_ <= k - path.length)) {
+    def dfs(v: Int): Unit = {
+      val ws = adj(v)
+      var j = 0
+      while (j < ws.length) {
+        val w = ws(j)
+        if (w == r && len >= 2) {
+          var p = 0
+          while (p < len) {
+            val u = path(p)
+            if (counts(u) == null) counts(u) = new Array[Long](k + 1)
+            counts(u)(len) += 1
+            p += 1
+          }
+        } else if (len < k && !onPath(w) && bdist(w) <= k - len) {
           steps += 1
           require(steps <= maxSteps,
             s"CycleRank enumeration for reference $ref at K=$k exceeded its budget of " +
             s"$maxSteps DFS steps (reached $steps)")
-          path += w; onPath += w
+          path(len) = w; len += 1; onPath(w) = true
           dfs(w)
-          path.remove(path.length - 1); onPath -= w
+          len -= 1; onPath(w) = false
         }
+        j += 1
       }
     }
-    dfs(ref)
-    counts.iterator.map { case (u, c) =>
-      u -> (2 to k).foldLeft(0.0)((acc, n) => acc + cfg.scoring.sigma(n) * c(n))
+    dfs(r)
+    (0 until n).iterator.filter(counts(_) != null).map { u =>
+      ids(u) -> (2 to k).foldLeft(0.0)((acc, l) => acc + cfg.scoring.sigma(l) * counts(u)(l))
     }.filter(_._2 > 0).toMap
+  }
+
+  /** Out-neighbour arrays of the vertices 0 until `n`. */
+  private def csr(n: Int, edges: Array[(Int, Int)]): Array[Array[Int]] = {
+    val deg = new Array[Int](n)
+    edges.foreach(e => deg(e._1) += 1)
+    val adj = Array.tabulate(n)(v => new Array[Int](deg(v)))
+    java.util.Arrays.fill(deg, 0)
+    edges.foreach { case (s, t) => adj(s)(deg(s)) = t; deg(s) += 1 }
+    adj
   }
 }

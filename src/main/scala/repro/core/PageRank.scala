@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.graph.DirectedGraph
@@ -64,64 +63,55 @@ object PageRank {
   /** Power iteration with the score vector on the driver. Returns
     * `(id, score)`, scores summing to 1.
     *
-    * A vertex's index is its position in the sorted vertex ids. The
-    * adjacency `(srcIdx, dstIdxs)` is grouped once by one `HashPartitioner`
-    * with the session's `spark.sql.shuffle.partitions` parts and
-    * checkpointed; the scores, the teleport vector `t` and the dangling
-    * flags are dense arrays on the driver. A sweep broadcasts the scores
-    * and runs one single-stage job, in which each partition sums its
-    * `score(src)/outdeg` shares into an n-length array; the driver adds the
-    * collected arrays and applies the teleport and the dangling mass. No
-    * sweep shuffles, joins or checkpoints. The driver holds O(n) doubles,
-    * plus one n-length array per partition while it adds them; each
-    * partition holds a transient n-length array.
+    * It reads the graph's [[IndexedGraph]] — the sorted vertex ids, the
+    * dangling flags and the out-adjacency `(srcIdx, dstIdxs)`, grouped by
+    * one `HashPartitioner` with the session's `spark.sql.shuffle.partitions`
+    * parts — which the first engine call on the graph builds and every
+    * later run reuses, so a run has no setup job. The scores and the
+    * teleport vector `t` are dense arrays on the driver. A sweep broadcasts
+    * the scores and runs one single-stage job, in which each partition sums
+    * its `score(src)/outdeg` shares into an n-length array; the driver adds
+    * the collected arrays in partition order and applies the teleport and
+    * the dangling mass, so every run sums the same doubles in the same
+    * order. No sweep shuffles, joins or persists. The driver holds O(n)
+    * doubles, plus one n-length array per partition while it adds them;
+    * each partition holds a transient n-length array.
     */
   def run(g: DirectedGraph, cfg: Config = Config()): DataFrame = {
     val spark = g.edges.sparkSession
     import spark.implicits._
-    val part = new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
-    val ids = g.vertices.as[Long].collect().sorted
-    val n = ids.length
-    val index = (id: Long) => java.util.Arrays.binarySearch(ids, id)
-    val refs = cfg.teleport.distinct.map(index)
+    val ix = g.index
+    val n = ix.numVertices
+    val refs = cfg.teleport.distinct.map(ix.indexOf)
     require(refs.forall(_ >= 0),
       s"teleport set ${cfg.teleport} contains vertices absent from the graph")
     val t = new Array[Double](n)
     if (refs.isEmpty) java.util.Arrays.fill(t, 1.0 / n) else refs.foreach(i => t(i) = 1.0 / refs.size)
-    // Groups and their targets are sorted, and the driver adds the
-    // partitions' arrays in partition order, so every run sums the same
-    // doubles in the same order whatever the shuffle's fetch order was.
-    val adj = g.edges.rdd.map(r => (index(r.getLong(0)), index(r.getLong(1)))).groupByKey(part)
-      .mapPartitions(_.map { case (src, dsts) => (src, dsts.toArray.sorted) }.toArray.sortBy(_._1).iterator)
-      .localCheckpoint()
-    try {
-      val dangling = Array.fill(n)(true)
-      adj.keys.collect().foreach(i => dangling(i) = false)
-      var score = t.clone()
-      var it = 0
-      var delta = Double.MaxValue
-      val alpha = cfg.alpha
-      while (it < cfg.maxIter && delta > cfg.tol) {
-        val bScore = spark.sparkContext.broadcast(score)
-        val partials = adj.mapPartitions { groups =>
-          val s = bScore.value
-          val c = new Array[Double](n)
-          groups.foreach { case (src, dsts) =>
-            val share = s(src) / dsts.length
-            dsts.foreach(d => c(d) += share)
-          }
-          Iterator.single(c)
-        }.collect()
-        bScore.destroy()
-        val contrib = new Array[Double](n)
-        partials.foreach(c => for (i <- 0 until n) contrib(i) += c(i))
-        val m = (0 until n).iterator.filter(i => dangling(i)).map(i => score(i)).sum
-        val next = Array.tabulate(n)(i => (1 - alpha) * t(i) + alpha * (contrib(i) + m * t(i)))
-        delta = (0 until n).iterator.map(i => math.abs(next(i) - score(i))).sum
-        score = next
-        it += 1
-      }
-      ids.zip(score).toSeq.toDF("id", "score")
-    } finally adj.unpersist(blocking = false)
+    val dangling = ix.dangling
+    var score = t.clone()
+    var it = 0
+    var delta = Double.MaxValue
+    val alpha = cfg.alpha
+    while (it < cfg.maxIter && delta > cfg.tol) {
+      val bScore = spark.sparkContext.broadcast(score)
+      val partials = ix.out.mapPartitions { groups =>
+        val s = bScore.value
+        val c = new Array[Double](n)
+        groups.foreach { case (src, dsts) =>
+          val share = s(src) / dsts.length
+          dsts.foreach(d => c(d) += share)
+        }
+        Iterator.single(c)
+      }.collect()
+      bScore.destroy()
+      val contrib = new Array[Double](n)
+      partials.foreach(c => for (i <- 0 until n) contrib(i) += c(i))
+      val m = (0 until n).iterator.filter(i => dangling(i)).map(i => score(i)).sum
+      val next = Array.tabulate(n)(i => (1 - alpha) * t(i) + alpha * (contrib(i) + m * t(i)))
+      delta = (0 until n).iterator.map(i => math.abs(next(i) - score(i))).sum
+      score = next
+      it += 1
+    }
+    ix.ids.zip(score).toSeq.toDF("id", "score")
   }
 }

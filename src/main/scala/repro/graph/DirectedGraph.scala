@@ -3,7 +3,8 @@ package repro.graph
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** A directed graph held as DataFrames.
+/** A directed graph held as DataFrames, plus the CSR [[index]] that the
+  * engines read, built by the first engine call on the instance.
   *
   * @param edges  two-column DataFrame `(src: long, dst: long)`; assumed
   *               deduplicated and self-loop-free once [[GraphOps.clean]]
@@ -12,6 +13,24 @@ import org.apache.spark.sql.functions._
   *               algorithms operate on ids only.
   */
 final case class DirectedGraph(edges: DataFrame, labels: Option[DataFrame] = None) {
+
+  // How the index is made: built from this graph, or (for a transpose)
+  // taken from its source graph's index with the directions swapped.
+  private var indexSource: () => IndexedGraph = () => IndexedGraph.build(this)
+  private var built: Option[IndexedGraph] = None
+
+  /** The graph's CSR index, built by the first call on this instance and
+    * shared by every later one; concurrent first calls build it once. A
+    * load persists nothing: only this call does.
+    */
+  def index: IndexedGraph = synchronized {
+    built.getOrElse { val ix = indexSource(); built = Some(ix); ix }
+  }
+
+  /** Unpersists the index if it has been built. A query still using it
+    * recomputes what it reads, so it finishes with the same answer.
+    */
+  private[repro] def releaseIndex(): Unit = synchronized(built.foreach(_.unpersist()))
 
   /** Distinct vertex ids appearing as an endpoint of any edge, plus any
     * labelled isolated vertices.
@@ -31,9 +50,14 @@ final case class DirectedGraph(edges: DataFrame, labels: Option[DataFrame] = Non
   /** Number of edges. */
   def numEdges: Long = edges.count()
 
-  /** Graph with every edge reversed (used by CheiRank). */
-  def transpose: DirectedGraph =
-    DirectedGraph(edges.select(col("dst").as("src"), col("src").as("dst")), labels)
+  /** Graph with every edge reversed (used by CheiRank); its index is this
+    * graph's index with the two directions swapped.
+    */
+  def transpose: DirectedGraph = {
+    val t = DirectedGraph(edges.select(col("dst").as("src"), col("src").as("dst")), labels)
+    t.indexSource = () => index.transpose
+    t
+  }
 
   /** Attach human-readable labels to a `(id, ...)` result frame, keeping
     * all original columns and adding `label` (falls back to the id).

@@ -40,47 +40,65 @@ object GraphLoader {
     */
   def edgeListCsv(spark: SparkSession, path: String): DirectedGraph = {
     import spark.implicits._
-    val edges = numberedLines(path).collect {
+    GraphOps.clean(DirectedGraph(edgeList(path).toDF("src", "dst")))
+  }
+
+  /** The `(src, dst)` lines of an edgelist CSV, as [[edgeListCsv]] reads
+    * them, before cleaning.
+    */
+  private[repro] def edgeList(path: String): Vector[(Long, Long)] =
+    numberedLines(path).collect {
       case (no, line) if !line.startsWith("#") => endpoints(s"edgelist $path", no, line, "[,;\\s]+")
     }
-    GraphOps.clean(DirectedGraph(edges.toDF("src", "dst")))
-  }
 
   private val QuotedLabel = "\"([^\"]*)\"".r
 
-  /** Pajek .net: `*Vertices N` followed by `id "label"` lines (an unlabelled
-    * vertex is labelled with its id), then `*Arcs` (directed) and/or `*Edges`
+  /** Pajek .net: `*Vertices N` declares the vertices 1..N; `id "label"`
+    * lines may follow (a vertex without a line, or without a quoted label,
+    * is labelled with its id), then `*Arcs` (directed) and/or `*Edges`
     * (undirected — loaded in both directions). Markers are case-insensitive
-    * and may repeat; `%` lines are comments.
+    * and may repeat; `%` lines are comments. A vertex or arc id outside
+    * 1..N is rejected.
     */
   def pajek(spark: SparkSession, path: String): DirectedGraph = {
     import spark.implicits._
     val what = s"pajek $path"
     val edges = mutable.ArrayBuffer.empty[(Long, Long)]
-    val labels = mutable.LinkedHashMap.empty[Long, (Int, String)] // id -> (line number, label)
+    val labels = mutable.LongMap.empty[(Int, String)] // id -> (line number, label)
     var section = "" // the last marker's first word, lower-cased
-    var sawVertices = false
+    var n = -1L // the vertex count of the last *Vertices line; -1 before it
+    def vertex(id: Long, no: Int, line: String): Long =
+      if (n < 0) reject(what, "has an arc before its *Vertices N line", no, line)
+      else if (id >= 1 && id <= n) id
+      else reject(what, s"has a vertex id outside 1..$n", no, line)
+    def arc(no: Int, line: String): (Long, Long) = {
+      val (src, dst) = endpoints(what, no, line, "\\s+")
+      (vertex(src, no, line), vertex(dst, no, line))
+    }
     for ((no, line) <- numberedLines(path) if !line.startsWith("%")) {
       if (line.startsWith("*")) {
-        section = line.split("\\s+")(0).toLowerCase
-        sawVertices ||= section == "*vertices"
+        val words = line.split("\\s+")
+        section = words(0).toLowerCase
+        if (section == "*vertices")
+          n = words.lift(1).flatMap(_.toLongOption).filter(_ >= 0)
+            .getOrElse(reject(what, "needs a vertex count N >= 0 in its *Vertices N line", no, line))
       } else section match {
         case "*vertices" =>
-          val id = line.takeWhile(_.isDigit).toLongOption
-            .getOrElse(reject(what, "has a vertex line with no numeric id", no, line))
+          val id = vertex(line.takeWhile(_.isDigit).toLongOption
+            .getOrElse(reject(what, "has a vertex line with no numeric id", no, line)), no, line)
           labels.get(id).foreach { case (first, _) =>
             reject(what, s"declares vertex $id twice, at line $first and", no, line) }
           val label = QuotedLabel.findFirstMatchIn(line).map(_.group(1)).filter(_.nonEmpty)
           labels(id) = (no, label.getOrElse(id.toString))
-        case "*arcs" => edges += endpoints(what, no, line, "\\s+")
+        case "*arcs" => edges += arc(no, line)
         case "*edges" =>
-          val (src, dst) = endpoints(what, no, line, "\\s+")
+          val (src, dst) = arc(no, line)
           edges += ((src, dst)) += ((dst, src))
         case _ => reject(what, "has a line outside a *Vertices, *Arcs or *Edges section", no, line)
       }
     }
-    require(sawVertices, s"$what: missing *Vertices")
-    val labelRows = labels.toSeq.map { case (id, (_, label)) => (id, label) }.toDF("id", "label")
+    require(n >= 0, s"$what: missing *Vertices")
+    val labelRows = (1L to n).map(id => (id, labels.get(id).fold(id.toString)(_._2))).toDF("id", "label")
     GraphOps.clean(DirectedGraph(edges.toSeq.toDF("src", "dst"), Some(labelRows)))
   }
 

@@ -1,6 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
@@ -44,35 +43,52 @@ object GraphOps {
   }
 
   /** Capped BFS from `source`, forward along `src→dst` and (if `backward`)
-    * backward along `dst→src`, both frontiers advanced together over one
-    * `(from, to, fwd)` view of the edges. Each level is one join of that
-    * view with the frontier, then `distinct` and `collect`: one Spark
-    * action per level, with the frontier and the distances kept on the
-    * driver. Stops after `maxDist` levels or when every frontier is empty.
+    * backward along `dst→src`, both frontiers advanced together over the
+    * graph's [[IndexedGraph]]. Each level is one narrow Spark job: the two
+    * frontiers are broadcast as bit sets, each partition scans its rows of
+    * the out- and the in-adjacency side by side and returns the neighbours
+    * of its frontier rows, and the driver keeps the distances. No level
+    * joins, shuffles or re-reads the edges. Stops after `maxDist` levels or
+    * when every frontier is empty.
     *
     * @return forward and backward minimum hop counts, `source` at 0 in
     *         both (the backward map is just the source if `!backward`)
     */
   def cappedBfs(g: DirectedGraph, source: Long, maxDist: Int,
                 backward: Boolean = true): (Map[Long, Int], Map[Long, Int]) = {
-    val spark = g.edges.sparkSession
-    import spark.implicits._
-    val dirs = if (backward) Seq(true, false) else Seq(true)
-    val view = dirs.map { fwd =>
-      val (from, to) = if (fwd) ("src", "dst") else ("dst", "src")
-      g.edges.select(col(from).as("from"), col(to).as("to"), lit(fwd).as("fwd"))
-    }.reduce(_ union _)
-    val dist = Map(true -> mutable.LongMap(source -> 0), false -> mutable.LongMap(source -> 0))
-    var frontier = dirs.map(source -> _)
+    val ix = g.index
+    val s = ix.indexOf(source)
+    if (s < 0) return (Map(source -> 0), Map(source -> 0))
+    // dist(0) forward, dist(1) backward; -1 = not reached.
+    val dist = Array.fill(2, ix.numVertices)(-1)
+    val frontier = Array.fill(2)(new java.util.BitSet)
+    for (dir <- 0 to (if (backward) 1 else 0)) { dist(dir)(s) = 0; frontier(dir).set(s) }
     var d = 0
-    while (d < maxDist && frontier.nonEmpty) {
+    while (d < maxDist && !frontier.forall(_.isEmpty)) {
       d += 1
-      frontier = view.join(frontier.toDF("from", "fwd"), Seq("from", "fwd"))
-        .select(col("to"), col("fwd")).distinct()
-        .collect().map(r => (r.getLong(0), r.getBoolean(1)))
-        .filterNot { case (v, fwd) => dist(fwd).contains(v) }.toSeq
-      for ((v, fwd) <- frontier) dist(fwd)(v) = d
+      val bFrontier = ix.out.sparkContext.broadcast(frontier)
+      val reached = ix.out.zipPartitions(ix.in) { (out, in) =>
+        val f = bFrontier.value
+        Iterator.single(Array(neighbours(out, f(0)), neighbours(in, f(1))))
+      }.collect()
+      bFrontier.destroy()
+      for (dir <- 0 to 1) {
+        frontier(dir) = new java.util.BitSet
+        for (part <- reached; v <- part(dir) if dist(dir)(v) < 0) {
+          dist(dir)(v) = d
+          frontier(dir).set(v)
+        }
+      }
     }
-    (dist(true).toMap, dist(false).toMap)
+    def byId(dir: Int): Map[Long, Int] =
+      dist(dir).indices.iterator.filter(dist(dir)(_) >= 0).map(v => ix.ids(v) -> dist(dir)(v)).toMap
+    (byId(0), if (backward) byId(1) else Map(source -> 0))
+  }
+
+  /** The distinct neighbours of the rows of `adj` whose vertex is in `frontier`. */
+  private def neighbours(adj: Iterator[(Int, Array[Int])], frontier: java.util.BitSet): Array[Int] = {
+    val found = new java.util.BitSet
+    if (!frontier.isEmpty) adj.foreach { case (v, ws) => if (frontier.get(v)) ws.foreach(found.set) }
+    found.stream().toArray
   }
 }

@@ -1,11 +1,12 @@
 package repro.platform
 
 import java.nio.file.{Files, Path, Paths}
+import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 import scala.util.Using
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.graph.{DirectedGraph, GraphLoader}
+import repro.graph.{DirectedGraph, GraphLoader, GraphOps}
 
 /** Filesystem-backed datastore (paper §III): stores datasets, and the
   * results and logs produced by executions.
@@ -17,11 +18,28 @@ import repro.graph.{DirectedGraph, GraphLoader}
   *   results/<taskId>/               result CSV (id,score) per finished task
   *   logs/<taskId>.log               execution log lines per task
   * }}}
+  *
+  * A loaded dataset stays resident: [[loadDataset]] returns the same
+  * [[DirectedGraph]] for a name until the name is stored again or the graph
+  * is evicted, so the index its first query builds serves every later
+  * query. The resident graphs hold at most `residentEdgeCap` edges in
+  * total (counted as their files' edge lines); a load past the cap evicts
+  * the least recently loaded graphs and unpersists their indexes. A graph
+  * over the cap on its own is still served, and evicted by the next load.
   */
-final class Datastore(val root: Path, spark: SparkSession) {
+final class Datastore private[platform] (val root: Path, spark: SparkSession, residentEdgeCap: Long) {
   private val datasetsDir = Files.createDirectories(root.resolve("datasets"))
   private val resultsDir  = Files.createDirectories(root.resolve("results"))
   private val logsDir     = Files.createDirectories(root.resolve("logs"))
+
+  def this(root: Path, spark: SparkSession) = this(root, spark, Datastore.MaxResidentEdges)
+
+  /** Resident graphs with their edge counts, least recently loaded first
+    * (access order); guarded by `this`, which also orders dataset writes
+    * against loads.
+    */
+  private val resident = new java.util.LinkedHashMap[String, (DirectedGraph, Long)](16, 0.75f, true)
+  private var residentEdges = 0L
 
   /** Register ("upload") a dataset file: it is parsed once with the loader
     * of its extension (the demo's supported upload formats; any other
@@ -37,19 +55,25 @@ final class Datastore(val root: Path, spark: SparkSession) {
 
   /** Register a graph: its edges go to `<name>.csv`, its labels (if any)
     * to `<name>.labels`. Both are collected before anything is written;
-    * labels stored under `name` before are deleted when `g` has none.
+    * labels stored under `name` before are deleted when `g` has none. The
+    * graph resident under `name`, if any, is dropped and its index
+    * unpersisted; the next load reads the new files.
     */
   def putDataset(name: String, g: DirectedGraph): Unit = {
     checkName(name)
     val rows = g.edges.select(col("src"), col("dst")).collect()
       .map(r => s"${r.getLong(0)},${r.getLong(1)}")
     val lab = g.labels.map(_.collect().map(r => s"${r.getLong(0)}\t${r.getString(1)}"))
-    Files.write(datasetsDir.resolve(s"$name.csv"), rows.toSeq.asJava)
-    val labelFile = datasetsDir.resolve(s"$name.labels")
-    lab match {
-      case Some(l) => Files.write(labelFile, l.toSeq.asJava)
-      case None    => Files.deleteIfExists(labelFile)
+    val replaced = synchronized {
+      Files.write(datasetsDir.resolve(s"$name.csv"), rows.toSeq.asJava)
+      val labelFile = datasetsDir.resolve(s"$name.labels")
+      lab match {
+        case Some(l) => Files.write(labelFile, l.toSeq.asJava)
+        case None    => Files.deleteIfExists(labelFile)
+      }
+      Option(resident.remove(name)).map { case (old, m) => residentEdges -= m; old }
     }
+    replaced.foreach(_.releaseIndex())
   }
 
   /** Names of all registered datasets. */
@@ -60,21 +84,46 @@ final class Datastore(val root: Path, spark: SparkSession) {
       .toSet)
 
   /** Load a dataset by its exact name: `<name>.csv` with the labels in
-    * `<name>.labels`, if there are any.
+    * `<name>.labels`, if there are any. Concurrent and later loads of the
+    * name share one resident graph (see the class doc).
     */
   def loadDataset(name: String): DirectedGraph = {
     checkName(name)
+    val (g, evicted) = synchronized {
+      Option(resident.get(name)) match {
+        case Some((g, _)) => (g, Nil)
+        case None =>
+          val (g, m) = readDataset(name)
+          resident.put(name, (g, m))
+          residentEdges += m
+          val evicted = mutable.ListBuffer.empty[DirectedGraph]
+          val lru = resident.values.iterator
+          while (residentEdges > residentEdgeCap && resident.size > 1) {
+            val (old, om) = lru.next()
+            lru.remove()
+            residentEdges -= om
+            evicted += old
+          }
+          (g, evicted.toList)
+      }
+    }
+    evicted.foreach(_.releaseIndex())
+    g
+  }
+
+  /** `name`'s stored graph and the number of edge lines in its file. */
+  private def readDataset(name: String): (DirectedGraph, Long) = {
+    import spark.implicits._
     val file = datasetsDir.resolve(s"$name.csv")
     require(Files.exists(file), s"dataset '$name' not found")
-    val g = GraphLoader.edgeListCsv(spark, file.toString)
+    val edges = GraphLoader.edgeList(file.toString)
     val labelFile = datasetsDir.resolve(s"$name.labels")
-    if (Files.exists(labelFile)) {
-      import spark.implicits._
-      val labels = Files.readAllLines(labelFile).asScala.toSeq
+    val labels = Option.when(Files.exists(labelFile)) {
+      Files.readAllLines(labelFile).asScala.toSeq
         .map(_.split("\t", 2)).map(a => (a(0).toLong, a(1)))
         .toDF("id", "label")
-      g.copy(labels = Some(labels))
-    } else g
+    }
+    (GraphOps.clean(DirectedGraph(edges.toDF("src", "dst"), labels)), edges.size.toLong)
   }
 
   /** Persist a finished task's `(id, score)` result; returns the number
@@ -134,6 +183,12 @@ final class Datastore(val root: Path, spark: SparkSession) {
 }
 
 object Datastore {
+  /** The most edges the resident graphs of one datastore hold in total. A
+    * resident edge costs its row in the loaded in-memory relation plus two
+    * ints in the index's adjacencies.
+    */
+  val MaxResidentEdges: Long = 10_000_000L
+
   /** Create a datastore under a fresh temp directory (tests, demos). */
   def temp(spark: SparkSession): Datastore =
     new Datastore(Files.createTempDirectory("repro-datastore"), spark)

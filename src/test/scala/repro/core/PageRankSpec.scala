@@ -2,6 +2,7 @@ package repro.core
 
 import repro.{Oracle, SparkSpec}
 import repro.graph.{DirectedGraph, GraphOps}
+import repro.platform.Datastore
 
 /** Global PageRank: closed-form cases, conservation laws, the dense
   * in-memory reference, the DuckDB oracle for a single power-iteration
@@ -106,18 +107,33 @@ class PageRankSpec extends SparkSpec with GraphTestKit {
     }
   }
 
-  test("a run leaves no persistent RDD, whatever the sweep count") {
+  test("a graph persists only its index, once, until dropped") {
+    // The first engine call persists the index's two RDDs, later PageRank,
+    // CheiRank and CycleRank runs persist none, and the datastore
+    // unpersists them when the graph is replaced.
     val sc = spark.sparkContext
-    val g = graphOfSeq(Reference.randomGraph(n = 25, m = 90, seed = 52))
-    def persistedBy(maxIter: Int): Set[Int] = {
-      val before = sc.getPersistentRDDs.keySet
-      PageRank.run(g, PageRank.Config(maxIter = maxIter, tol = 0.0)).collect()
+    val es = Reference.randomGraph(n = 25, m = 90, seed = 52)
+    val store = Datastore.temp(spark)
+    store.putDataset("g", graphOfSeq(es))
+    val g = store.loadDataset("g")
+    def persistedBy(f: => Any): Set[Int] = {
+      val before = sc.getPersistentRDDs.keySet.toSet
+      f
       sc.getPersistentRDDs.keySet.toSet -- before
     }
+    val index = persistedBy(PageRank.run(g, PageRank.Config(maxIter = 5, tol = 0.0)).collect())
+    assert(index == Set(g.index.out.id, g.index.in.id))
     for (maxIter <- Seq(5, 30)) {
-      val left = persistedBy(maxIter)
-      assert(left.isEmpty, s"persisted after a run of $maxIter sweeps: $left")
+      val cfg = PageRank.Config(maxIter = maxIter, tol = 0.0)
+      val left = persistedBy {
+        PageRank.run(g, cfg).collect()
+        CheiRank.run(g, cfg).collect()
+        CycleRank.run(g, es.head._1, CycleRank.Config(3)).collect()
+      }
+      assert(left.isEmpty, s"persisted by runs of $maxIter sweeps: $left")
     }
+    store.putDataset("g", graphOf((1L, 2L)))
+    assert(sc.getPersistentRDDs.keySet.toSet.intersect(index).isEmpty)
   }
 
   test("non-contiguous ids match the dense reference") {

@@ -1,11 +1,8 @@
 package repro.graph
 
 import java.nio.file.{Files, Path}
-import java.util.concurrent.{CountDownLatch, TimeUnit}
-import java.util.concurrent.atomic.AtomicInteger
 import scala.jdk.CollectionConverters._
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import repro.SparkSpec
+import repro.{SparkSpec, SparkWork}
 import repro.core.GraphTestKit
 import repro.platform.Datastore
 
@@ -119,6 +116,31 @@ class GraphLoaderSpec extends SparkSpec with GraphTestKit {
       Set((1L, 2L), (2L, 1L), (2L, 3L), (3L, 1L), (1L, 3L)))
   }
 
+  test("pajek: *Vertices N declares vertices 1..N, unlisted ones labelled with their id") {
+    val f = tmpFile("g.net", Seq("*Vertices 4", "1 \"a\"", "3 \"c\"", "*Arcs", "1 3"))
+    val g = GraphLoader.pajek(spark, f.toString)
+    assert(g.numVertices == 4)
+    val labels = g.labels.get.collect().map(r => r.getLong(0) -> r.getString(1)).toMap
+    assert(labels == Map(1L -> "a", 2L -> "2", 3L -> "c", 4L -> "4"))
+  }
+
+  test("pajek: an arc or vertex id outside 1..N is rejected naming the file and the line") {
+    for ((lines, bad) <- Seq(
+        Seq("*Vertices 3", "1 \"a\"", "*Arcs", "1 2", "7 1") -> "line 5: '7 1'",
+        Seq("*Vertices 3", "*Edges", "0 1") -> "line 3: '0 1'",
+        Seq("*Vertices 2", "1 \"a\"", "3 \"c\"") -> "line 3: '3 \"c\"'")) {
+      val f = tmpFile("g.net", lines)
+      val msg = rejection(GraphLoader.pajek(spark, f.toString))
+      assert(msg.contains(s"pajek $f") && msg.contains("outside 1..") && msg.contains(bad), msg)
+    }
+  }
+
+  test("pajek: a *Vertices line without a vertex count is rejected") {
+    val f = tmpFile("g.net", Seq("*Vertices", "1 \"a\"", "*Arcs", "1 1"))
+    val msg = rejection(GraphLoader.pajek(spark, f.toString))
+    assert(msg.contains(s"pajek $f") && msg.contains("line 1: '*Vertices'"), msg)
+  }
+
   test("pajek: missing *Vertices is rejected") {
     val f = tmpFile("g.net", Seq("*Arcs", "1 2"))
     intercept[IllegalArgumentException](GraphLoader.pajek(spark, f.toString))
@@ -178,31 +200,6 @@ class GraphLoaderSpec extends SparkSpec with GraphTestKit {
     }
   }
 
-  /** The number of Spark jobs `f` starts. Listener events arrive
-    * asynchronously, in order: once a sentinel job's start has been
-    * delivered, so has every earlier job's.
-    */
-  private def jobsStartedBy(f: => Any): Int = {
-    val sc = spark.sparkContext
-    val sentinel = "graph-loader-spec-sentinel"
-    val started = new AtomicInteger
-    val sentinelSeen = new CountDownLatch(1)
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == sentinel))
-          sentinelSeen.countDown()
-        else started.incrementAndGet()
-    }
-    sc.addSparkListener(listener)
-    try {
-      f
-      sc.setJobGroup(sentinel, sentinel)
-      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
-      assert(sentinelSeen.await(30, TimeUnit.SECONDS), "the sentinel job was never reported")
-      started.get
-    } finally sc.removeSparkListener(listener)
-  }
-
   test("the three loaders and a dataset load start no Spark job") {
     val csv = tmpFile("g.csv", Seq("1,2", "2,3", "3,1"))
     val net = tmpFile("g.net", Seq("*Vertices 2", "1 \"a\"", "2 \"b\"", "*Arcs", "1 2"))
@@ -210,10 +207,10 @@ class GraphLoaderSpec extends SparkSpec with GraphTestKit {
     val store = Datastore.temp(spark)
     store.uploadDataset("d", net)
     val jobs = Seq(
-      "edgeListCsv" -> jobsStartedBy(GraphLoader.edgeListCsv(spark, csv.toString)),
-      "pajek" -> jobsStartedBy(GraphLoader.pajek(spark, net.toString)),
-      "asd" -> jobsStartedBy(GraphLoader.asd(spark, asd.toString)),
-      "loadDataset" -> jobsStartedBy(store.loadDataset("d")))
+      "edgeListCsv" -> SparkWork.of(spark)(GraphLoader.edgeListCsv(spark, csv.toString)).jobs,
+      "pajek" -> SparkWork.of(spark)(GraphLoader.pajek(spark, net.toString)).jobs,
+      "asd" -> SparkWork.of(spark)(GraphLoader.asd(spark, asd.toString)).jobs,
+      "loadDataset" -> SparkWork.of(spark)(store.loadDataset("d")).jobs)
     assert(jobs.forall(_._2 == 0), jobs)
   }
 

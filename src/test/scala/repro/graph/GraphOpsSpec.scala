@@ -125,6 +125,16 @@ class GraphOpsSpec extends SparkSpec with GraphTestKit {
     assert(fwd.size > 1 && bwd.size > 1)
   }
 
+  test("a graph builds its index once, and its transpose reuses it with the directions swapped") {
+    val g = graphOf((1L, 2L), (2L, 3L), (3L, 1L), (3L, 4L))
+    val ix = g.index
+    assert(g.index eq ix)
+    val t = g.transpose.index
+    assert((t.out eq ix.in) && (t.in eq ix.out) && t.ids.sameElements(ix.ids))
+    assert(ix.dangling.toSeq == Seq(false, false, false, true))
+    assert(t.dangling.toSeq == Seq(false, false, false, false))
+  }
+
   test("fromLabeledEdges assigns deterministic ids by sorted label") {
     val g = DirectedGraph.fromLabeledEdges(spark, Seq(("b", "a"), ("a", "c")))
     val labels = g.labels.get.collect().map(r => r.getLong(0) -> r.getString(1)).toMap
