@@ -11,18 +11,17 @@ import repro.graph.{DirectedGraph, GraphOps}
   *
   * Evaluated in two steps:
   *
-  *  1. '''Prune''' (distributed) — r must be a vertex of the graph's
-  *     [[repro.graph.IndexedGraph]] (an id lookup on the driver). One
-  *     capped BFS loop from r then advances the forward and the backward
-  *     frontier together, K−1 levels at most, each level one narrow Spark
-  *     job over the index's out- and in-adjacency with the frontiers
-  *     broadcast: no join, `distinct` or shuffle ([[GraphOps.cappedBfs]]).
+  *  1. '''Prune''' — r must be a vertex of the graph's driver-side
+  *     [[repro.graph.IndexedGraph]] (an id lookup). A capped BFS from r
+  *     then runs forward over the index's out-adjacency and backward over
+  *     its in-adjacency, K−1 levels at most, with plain array loops and no
+  *     Spark job ([[GraphOps.cappedBfs]]).
   *     A vertex can lie on a qualifying cycle only if
   *     `distₒᵤₜ(r,v) + distᵢₙ(v,r) ≤ K`; these vertices form the support.
   *     On hub-and-community graphs it is orders of magnitude smaller than
   *     the graph.
-  *  2. '''Kernel''' (driver) — the edges with both endpoints in the support
-  *     are collected in one narrow job ([[supportEdges]]) and handed to
+  *  2. '''Kernel''' — the edges with both endpoints in the support are
+  *     read from the index's rows ([[supportEdges]]) and handed to
   *     [[LocalCycleRank.runOnEdges]], which enumerates every simple cycle of
   *     length ≤ K through r by bounded DFS (Johnson-style), within a budget
   *     of [[MaxKernelSteps]] path extensions, and credits
@@ -43,7 +42,7 @@ object CycleRank {
     require(k >= 2, s"K must be > 1 (got $k)")
   }
 
-  /** Maximum number of support edges collected to the driver for the kernel. */
+  /** Maximum number of support edges handed to the driver kernel. */
   val MaxDriverEdges: Int = 5_000_000
 
   /** Maximum number of path extensions the kernel's DFS makes for one
@@ -71,29 +70,26 @@ object CycleRank {
     scoresDf(spark, LocalCycleRank.runOnEdges(edges, ref, cfg))
   }
 
-  /** The edges with both endpoints in `support`, collected to the driver
-    * in one narrow job: each partition of the out-adjacency keeps the rows
-    * and neighbours in a broadcast bit set of the support's indices. Fails
-    * naming `ref`, `k` and `limit` when there are more than `limit` of them.
+  /** The edges with both endpoints in `support`, read from the rows of the
+    * index's out-adjacency whose vertex is in a bit set of the support's
+    * indices. Fails naming `ref`, `k` and `limit` when there are more than
+    * `limit` of them.
     */
   private[core] def supportEdges(g: DirectedGraph, support: Set[Long], ref: Long, k: Int,
                                  limit: Int): Seq[(Long, Long)] = {
     val ix = g.index
+    val out = ix.out
     val inSupport = new java.util.BitSet(ix.numVertices)
     support.iterator.map(ix.indexOf).filter(_ >= 0).foreach(inSupport.set)
-    val bSupport = ix.out.sparkContext.broadcast(inSupport)
-    val parts = ix.out.mapPartitions { rows =>
-      val s = bSupport.value
-      val kept = rows.filter(r => s.get(r._1))
-        .flatMap { case (v, ws) => ws.iterator.filter(s.get).map(w => (v, w)) }
-      Iterator.single(kept.take(limit + 1).toArray)
-    }.collect()
-    bSupport.destroy()
-    val edges = parts.iterator.flatten.take(limit + 1).toArray
+    val edges = Iterator.iterate(inSupport.nextSetBit(0))(v => inSupport.nextSetBit(v + 1))
+      .takeWhile(_ >= 0)
+      .flatMap(v => (out.offsets(v) until out.offsets(v + 1)).iterator.map(out.nbrs)
+        .filter(inSupport.get).map(w => (ix.ids(v), ix.ids(w))))
+      .take(limit + 1).toVector
     require(edges.length <= limit,
       s"CycleRank support of reference $ref at K=$k has more than $limit edges, " +
       "the most the driver kernel takes")
-    edges.toSeq.map { case (v, w) => (ix.ids(v), ix.ids(w)) }
+    edges
   }
 
   private def scoresDf(spark: SparkSession, scores: Map[Long, Double]): DataFrame = {

@@ -33,7 +33,9 @@ object LocalCycleRank {
     index.foreachEntry((v, i) => ids(i) = v)
     val adj  = csr(n, simple)
     val radj = csr(n, simple.map(_.swap))
-    val k = cfg.k
+    // No simple cycle is longer than n edges, so the arrays and the scores
+    // are sized by min(K, n): a larger K changes neither.
+    val k = math.min(cfg.k, n)
     val r = 0
 
     // Backward distances to r, up to K-1 (Int.MaxValue beyond). A path of
@@ -75,7 +77,7 @@ object LocalCycleRank {
         } else if (len < k && !onPath(w) && bdist(w) <= k - len) {
           steps += 1
           require(steps <= maxSteps,
-            s"CycleRank enumeration for reference $ref at K=$k exceeded its budget of " +
+            s"CycleRank enumeration for reference $ref at K=${cfg.k} exceeded its budget of " +
             s"$maxSteps DFS steps (reached $steps)")
           path(len) = w; len += 1; onPath(w) = true
           dfs(w)

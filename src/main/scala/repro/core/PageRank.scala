@@ -60,22 +60,17 @@ object PageRank {
           .as("score"))
   }
 
-  /** Power iteration with the score vector on the driver. Returns
-    * `(id, score)`, scores summing to 1.
+  /** Power iteration on the driver. Returns `(id, score)`, scores summing
+    * to 1.
     *
-    * It reads the graph's [[IndexedGraph]] — the sorted vertex ids, the
-    * dangling flags and the out-adjacency `(srcIdx, dstIdxs)`, grouped by
-    * one `HashPartitioner` with the session's `spark.sql.shuffle.partitions`
-    * parts — which the first engine call on the graph builds and every
-    * later run reuses, so a run has no setup job. The scores and the
-    * teleport vector `t` are dense arrays on the driver. A sweep broadcasts
-    * the scores and runs one single-stage job, in which each partition sums
-    * its `score(src)/outdeg` shares into an n-length array; the driver adds
-    * the collected arrays in partition order and applies the teleport and
-    * the dangling mass, so every run sums the same doubles in the same
-    * order. No sweep shuffles, joins or persists. The driver holds O(n)
-    * doubles, plus one n-length array per partition while it adds them;
-    * each partition holds a transient n-length array.
+    * It reads the graph's driver-side [[IndexedGraph]], which the first
+    * engine call on the graph builds and every later run reuses, so a run
+    * starts no Spark job. The scores and the teleport vector `t` are dense
+    * arrays. A sweep visits the vertices in index order and adds each
+    * `score(src)/outdeg` share to its out-neighbours in row order, then
+    * applies the teleport and the dangling mass: every run adds the same
+    * doubles in the same order, whatever the session's partitioning. The
+    * driver holds four n-length arrays of doubles.
     */
   def run(g: DirectedGraph, cfg: Config = Config()): DataFrame = {
     val spark = g.edges.sparkSession
@@ -87,26 +82,22 @@ object PageRank {
       s"teleport set ${cfg.teleport} contains vertices absent from the graph")
     val t = new Array[Double](n)
     if (refs.isEmpty) java.util.Arrays.fill(t, 1.0 / n) else refs.foreach(i => t(i) = 1.0 / refs.size)
-    val dangling = ix.dangling
+    val out = ix.out
     var score = t.clone()
     var it = 0
     var delta = Double.MaxValue
     val alpha = cfg.alpha
     while (it < cfg.maxIter && delta > cfg.tol) {
-      val bScore = spark.sparkContext.broadcast(score)
-      val partials = ix.out.mapPartitions { groups =>
-        val s = bScore.value
-        val c = new Array[Double](n)
-        groups.foreach { case (src, dsts) =>
-          val share = s(src) / dsts.length
-          dsts.foreach(d => c(d) += share)
-        }
-        Iterator.single(c)
-      }.collect()
-      bScore.destroy()
       val contrib = new Array[Double](n)
-      partials.foreach(c => for (i <- 0 until n) contrib(i) += c(i))
-      val m = (0 until n).iterator.filter(i => dangling(i)).map(i => score(i)).sum
+      var m = 0.0 // the dangling mass
+      for (v <- 0 until n) {
+        val deg = out.degree(v)
+        if (deg == 0) m += score(v)
+        else {
+          val share = score(v) / deg
+          for (j <- out.offsets(v) until out.offsets(v + 1)) contrib(out.nbrs(j)) += share
+        }
+      }
       val next = Array.tabulate(n)(i => (1 - alpha) * t(i) + alpha * (contrib(i) + m * t(i)))
       delta = (0 until n).iterator.map(i => math.abs(next(i) - score(i))).sum
       score = next

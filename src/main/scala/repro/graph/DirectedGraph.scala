@@ -3,8 +3,8 @@ package repro.graph
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** A directed graph held as DataFrames, plus the CSR [[index]] that the
-  * engines read, built by the first engine call on the instance.
+/** A directed graph held as DataFrames, plus the driver-side CSR [[index]]
+  * that the engines read, built by the first engine call on the instance.
   *
   * @param edges  two-column DataFrame `(src: long, dst: long)`; assumed
   *               deduplicated and self-loop-free once [[GraphOps.clean]]
@@ -20,35 +20,26 @@ final case class DirectedGraph(edges: DataFrame, labels: Option[DataFrame] = Non
   private var built: Option[IndexedGraph] = None
 
   /** The graph's CSR index, built by the first call on this instance and
-    * shared by every later one; concurrent first calls build it once. A
-    * load persists nothing: only this call does.
+    * shared by every later one; concurrent first calls build it once.
     */
   def index: IndexedGraph = synchronized {
     built.getOrElse { val ix = indexSource(); built = Some(ix); ix }
   }
 
-  /** Unpersists the index if it has been built. A query still using it
-    * recomputes what it reads, so it finishes with the same answer.
-    */
-  private[repro] def releaseIndex(): Unit = synchronized(built.foreach(_.unpersist()))
-
   /** Distinct vertex ids appearing as an endpoint of any edge, plus any
-    * labelled isolated vertices.
+    * labelled isolated vertices: `(id)`, sorted, read from the [[index]].
     */
   def vertices: DataFrame = {
-    val fromEdges = edges.select(col("src").as("id"))
-      .union(edges.select(col("dst").as("id")))
-    labels match {
-      case Some(l) => fromEdges.union(l.select(col("id"))).distinct()
-      case None    => fromEdges.distinct()
-    }
+    val spark = edges.sparkSession
+    import spark.implicits._
+    index.ids.toSeq.toDF("id")
   }
 
-  /** Number of distinct vertices. */
-  def numVertices: Long = vertices.count()
+  /** Number of distinct vertices, read from the [[index]]. */
+  def numVertices: Long = index.numVertices
 
-  /** Number of edges. */
-  def numEdges: Long = edges.count()
+  /** Number of edges, read from the [[index]]. */
+  def numEdges: Long = index.numEdges
 
   /** Graph with every edge reversed (used by CheiRank); its index is this
     * graph's index with the two directions swapped.

@@ -1,79 +1,82 @@
 package repro.graph
 
-import org.apache.spark.HashPartitioner
-import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.functions.col
 
-/** The compressed sparse row (CSR) index of a [[DirectedGraph]], built once
-  * per graph by its first engine call ([[DirectedGraph.index]]) and read by
-  * every engine after that: PageRank's sweeps, CheiRank's (on the swapped
-  * directions), and CycleRank's BFS levels and support collect.
+/** The compressed sparse row (CSR) index of a [[DirectedGraph]], on the
+  * driver: built once per graph by its first engine call
+  * ([[DirectedGraph.index]]) and read with plain array loops by every
+  * engine after that: PageRank's sweeps, CheiRank's (on the swapped
+  * directions), and CycleRank's BFS and support collect. No engine call
+  * on an indexed graph starts a Spark job.
   *
-  * A vertex's index is its position in `ids`. Each adjacency holds one
-  * `(idx, sorted neighbour idxs)` row per vertex with at least one edge in
-  * that direction, grouped by one `HashPartitioner` with the session's
-  * `spark.sql.shuffle.partitions` parts, sorted by `idx` within a partition
-  * and persisted in memory. An adjacency evicted from memory is recomputed
-  * from its grouping's shuffle output, so a query still holding an index
-  * that [[unpersist]] released finishes correctly.
+  * A vertex's index is its position in `ids`: the sorted, distinct ids of
+  * the edges' endpoints and of the labels (labelled isolated vertices are
+  * vertices too). [[DirectedGraph.vertices]], `numVertices`, `numEdges`
+  * and [[GraphOps.outDegrees]] read them from here.
   *
-  * @param ids      the sorted vertex ids, on the driver
-  * @param out      out-adjacency `(src, dsts)`
-  * @param in       in-adjacency `(dst, srcs)`
-  * @param dangling per index, whether the vertex has no out-edge
-  * @param sources  per index, whether the vertex has no in-edge
+  * @param ids the sorted vertex ids
+  * @param out out-adjacency: row `v` holds the indices of `v`'s successors
+  * @param in  in-adjacency: row `v` holds the indices of `v`'s predecessors
   */
-final class IndexedGraph private (
-    val ids: Array[Long],
-    val out: RDD[(Int, Array[Int])],
-    val in: RDD[(Int, Array[Int])],
-    val dangling: Array[Boolean],
-    sources: Array[Boolean]) {
+final class IndexedGraph private (val ids: Array[Long], val out: IndexedGraph.Csr,
+                                  val in: IndexedGraph.Csr) {
 
   def numVertices: Int = ids.length
+
+  def numEdges: Int = out.nbrs.length
 
   /** The index of `id`, or a negative number when `id` is not a vertex. */
   def indexOf(id: Long): Int = java.util.Arrays.binarySearch(ids, id)
 
   def contains(id: Long): Boolean = indexOf(id) >= 0
 
-  /** The index of the transposed graph: the same RDDs, directions swapped. */
-  def transpose: IndexedGraph = new IndexedGraph(ids, in, out, sources, dangling)
-
-  /** Releases both adjacencies' cached blocks. */
-  def unpersist(): Unit = {
-    out.unpersist(blocking = false)
-    in.unpersist(blocking = false)
-  }
+  /** The index of the transposed graph: the same arrays, directions swapped. */
+  def transpose: IndexedGraph = new IndexedGraph(ids, in, out)
 }
 
 object IndexedGraph {
 
-  /** Builds `g`'s index in three Spark jobs: the vertex-id collect, then
-    * one grouping per direction, each persisted and materialised by
-    * collecting its keys.
+  /** One direction of the adjacency: row `v`'s neighbours are
+    * `nbrs(offsets(v) until offsets(v + 1))`, sorted.
+    */
+  final class Csr private[IndexedGraph] (val offsets: Array[Int], val nbrs: Array[Int]) {
+    def degree(v: Int): Int = offsets(v + 1) - offsets(v)
+  }
+
+  /** Builds `g`'s index from one collect of its edges, packed as longs,
+    * plus its label ids.
     */
   def build(g: DirectedGraph): IndexedGraph = {
     val spark = g.edges.sparkSession
     import spark.implicits._
-    val ids = g.vertices.as[Long].collect().sorted
-    val n = ids.length
-    val part = new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
-    val pairs = g.edges.rdd.map { r =>
-      (java.util.Arrays.binarySearch(ids, r.getLong(0)), java.util.Arrays.binarySearch(ids, r.getLong(1)))
-    }
-    // Rows and their neighbours are sorted, so every pass over an adjacency
-    // meets the same values in the same order, whatever the shuffle's
-    // fetch order was: PageRank's sums are bit-identical across runs.
-    def adjacency(edges: RDD[(Int, Int)]): (RDD[(Int, Array[Int])], Array[Boolean]) = {
-      val adj = edges.groupByKey(part)
-        .mapPartitions(_.map { case (v, ws) => (v, ws.toArray.sorted) }.toArray.sortBy(_._1).iterator)
-        .persist()
-      val none = Array.fill(n)(true)
-      adj.keys.collect().foreach(v => none(v) = false)
-      (adj, none)
-    }
-    val (out, dangling) = adjacency(pairs)
-    val (in, sources) = adjacency(pairs.map(_.swap))
-    new IndexedGraph(ids, out, in, dangling, sources)
+    val endpoints = g.edges.select(col("src"), col("dst")).rdd.mapPartitions { rows =>
+      val b = Array.newBuilder[Long]
+      rows.foreach { r => b += r.getLong(0); b += r.getLong(1) }
+      Iterator.single(b.result())
+    }.collect().flatten
+    val labelIds = g.labels.fold(Array.empty[Long])(_.select(col("id").cast("long")).as[Long].collect())
+    val ids = endpoints ++ labelIds
+    java.util.Arrays.sort(ids)
+    var n = 0 // ids(0 until n) are the distinct ids seen so far, compacted in place
+    for (v <- ids if n == 0 || ids(n - 1) != v) { ids(n) = v; n += 1 }
+    val m = endpoints.length / 2
+    val sorted = ids.take(n)
+    val src = Array.tabulate(m)(e => java.util.Arrays.binarySearch(sorted, endpoints(2 * e)))
+    val dst = Array.tabulate(m)(e => java.util.Arrays.binarySearch(sorted, endpoints(2 * e + 1)))
+    new IndexedGraph(sorted, csr(n, src, dst), csr(n, dst, src))
+  }
+
+  /** The rows of the edges `from(e) → to(e)`, each row sorted, so every
+    * pass over a row meets its neighbours in the same order.
+    */
+  private def csr(n: Int, from: Array[Int], to: Array[Int]): Csr = {
+    val offsets = new Array[Int](n + 1)
+    from.foreach(v => offsets(v + 1) += 1)
+    for (v <- 0 until n) offsets(v + 1) += offsets(v)
+    val next = offsets.clone()
+    val nbrs = new Array[Int](to.length)
+    for (e <- to.indices) { nbrs(next(from(e))) = to(e); next(from(e)) += 1 }
+    for (v <- 0 until n) java.util.Arrays.sort(nbrs, offsets(v), offsets(v + 1))
+    new Csr(offsets, nbrs)
   }
 }

@@ -1,7 +1,6 @@
 package repro.platform
 
 import java.nio.file.{Files, Path, Paths}
-import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 import scala.util.Using
 import org.apache.spark.sql.{DataFrame, SparkSession}
@@ -23,9 +22,11 @@ import repro.graph.{DirectedGraph, GraphLoader, GraphOps}
   * [[DirectedGraph]] for a name until the name is stored again or the graph
   * is evicted, so the index its first query builds serves every later
   * query. The resident graphs hold at most `residentEdgeCap` edges in
-  * total (counted as their files' edge lines); a load past the cap evicts
-  * the least recently loaded graphs and unpersists their indexes. A graph
-  * over the cap on its own is still served, and evicted by the next load.
+  * total (counted as their files' edge lines); a load past the cap drops
+  * the least recently loaded graphs. A graph over the cap on its own is
+  * still served, and dropped by the next load. A dropped graph and its
+  * index are plain driver objects: a query still holding one finishes
+  * with it, and the garbage collector frees it after that.
   */
 final class Datastore private[platform] (val root: Path, spark: SparkSession, residentEdgeCap: Long) {
   private val datasetsDir = Files.createDirectories(root.resolve("datasets"))
@@ -56,24 +57,23 @@ final class Datastore private[platform] (val root: Path, spark: SparkSession, re
   /** Register a graph: its edges go to `<name>.csv`, its labels (if any)
     * to `<name>.labels`. Both are collected before anything is written;
     * labels stored under `name` before are deleted when `g` has none. The
-    * graph resident under `name`, if any, is dropped and its index
-    * unpersisted; the next load reads the new files.
+    * graph resident under `name`, if any, is dropped; the next load reads
+    * the new files.
     */
   def putDataset(name: String, g: DirectedGraph): Unit = {
     checkName(name)
     val rows = g.edges.select(col("src"), col("dst")).collect()
       .map(r => s"${r.getLong(0)},${r.getLong(1)}")
     val lab = g.labels.map(_.collect().map(r => s"${r.getLong(0)}\t${r.getString(1)}"))
-    val replaced = synchronized {
+    synchronized {
       Files.write(datasetsDir.resolve(s"$name.csv"), rows.toSeq.asJava)
       val labelFile = datasetsDir.resolve(s"$name.labels")
       lab match {
         case Some(l) => Files.write(labelFile, l.toSeq.asJava)
         case None    => Files.deleteIfExists(labelFile)
       }
-      Option(resident.remove(name)).map { case (old, m) => residentEdges -= m; old }
+      Option(resident.remove(name)).foreach { case (_, m) => residentEdges -= m }
     }
-    replaced.foreach(_.releaseIndex())
   }
 
   /** Names of all registered datasets. */
@@ -89,26 +89,21 @@ final class Datastore private[platform] (val root: Path, spark: SparkSession, re
     */
   def loadDataset(name: String): DirectedGraph = {
     checkName(name)
-    val (g, evicted) = synchronized {
+    synchronized {
       Option(resident.get(name)) match {
-        case Some((g, _)) => (g, Nil)
+        case Some((g, _)) => g
         case None =>
           val (g, m) = readDataset(name)
           resident.put(name, (g, m))
           residentEdges += m
-          val evicted = mutable.ListBuffer.empty[DirectedGraph]
           val lru = resident.values.iterator
           while (residentEdges > residentEdgeCap && resident.size > 1) {
-            val (old, om) = lru.next()
+            residentEdges -= lru.next()._2
             lru.remove()
-            residentEdges -= om
-            evicted += old
           }
-          (g, evicted.toList)
+          g
       }
     }
-    evicted.foreach(_.releaseIndex())
-    g
   }
 
   /** `name`'s stored graph and the number of edge lines in its file. */
@@ -184,8 +179,8 @@ final class Datastore private[platform] (val root: Path, spark: SparkSession, re
 
 object Datastore {
   /** The most edges the resident graphs of one datastore hold in total. A
-    * resident edge costs its row in the loaded in-memory relation plus two
-    * ints in the index's adjacencies.
+    * resident edge costs its row in the loaded in-memory relation plus one
+    * int per direction in the index's CSR, on the driver.
     */
   val MaxResidentEdges: Long = 10_000_000L
 

@@ -191,6 +191,18 @@ class CycleRankSpec extends SparkSpec with GraphTestKit {
     Seq(1L, 2L, 3L, 4L, 5L).foreach(v => assertClose(s5(v), e(5)))
   }
 
+  test("a registry query at K = Int.MaxValue equals the query at K = n") {
+    // No simple cycle is longer than the vertex count, so a K above it
+    // must neither change the scores nor size the kernel's arrays.
+    // Cycles through 1 of every length from 2 to 5 = n.
+    val g = graphOf((1L, 2L), (2L, 1L), (2L, 3L), (3L, 1L), (3L, 4L), (4L, 5L), (5L, 1L), (4L, 1L))
+    def query(k: Long) = scoresMap(repro.platform.AlgorithmRegistry("cyclerank")(
+      g, Map("ref" -> "1", "k" -> k.toString)))
+    val atN = query(g.numVertices)
+    assert(atN.keySet == Set(1L, 2L, 3L, 4L, 5L))
+    assert(query(Int.MaxValue) == atN)
+  }
+
   test("distributed and local CycleRank agree at bench scale") {
     // The kernel on the whole collected graph is the unpruned baseline.
     val g = SyntheticGraphs.wikilinkLike(spark, 0.01)

@@ -107,33 +107,22 @@ class PageRankSpec extends SparkSpec with GraphTestKit {
     }
   }
 
-  test("a graph persists only its index, once, until dropped") {
-    // The first engine call persists the index's two RDDs, later PageRank,
-    // CheiRank and CycleRank runs persist none, and the datastore
-    // unpersists them when the graph is replaced.
+  test("no engine call persists an RDD") {
+    // The index is a driver-side CSR: neither its build by the first engine
+    // call nor any later PageRank, CheiRank or CycleRank run persists an RDD.
     val sc = spark.sparkContext
     val es = Reference.randomGraph(n = 25, m = 90, seed = 52)
     val store = Datastore.temp(spark)
     store.putDataset("g", graphOfSeq(es))
     val g = store.loadDataset("g")
-    def persistedBy(f: => Any): Set[Int] = {
-      val before = sc.getPersistentRDDs.keySet.toSet
-      f
-      sc.getPersistentRDDs.keySet.toSet -- before
-    }
-    val index = persistedBy(PageRank.run(g, PageRank.Config(maxIter = 5, tol = 0.0)).collect())
-    assert(index == Set(g.index.out.id, g.index.in.id))
+    val before = sc.getPersistentRDDs.keySet.toSet
     for (maxIter <- Seq(5, 30)) {
       val cfg = PageRank.Config(maxIter = maxIter, tol = 0.0)
-      val left = persistedBy {
-        PageRank.run(g, cfg).collect()
-        CheiRank.run(g, cfg).collect()
-        CycleRank.run(g, es.head._1, CycleRank.Config(3)).collect()
-      }
-      assert(left.isEmpty, s"persisted by runs of $maxIter sweeps: $left")
+      PageRank.run(g, cfg).collect()
+      CheiRank.run(g, cfg).collect()
+      CycleRank.run(g, es.head._1, CycleRank.Config(3)).collect()
+      assert(sc.getPersistentRDDs.keySet.toSet == before, s"persisted by runs of $maxIter sweeps")
     }
-    store.putDataset("g", graphOf((1L, 2L)))
-    assert(sc.getPersistentRDDs.keySet.toSet.intersect(index).isEmpty)
   }
 
   test("non-contiguous ids match the dense reference") {

@@ -1,7 +1,7 @@
 package repro.graph
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, SparkWork}
 import repro.core.GraphTestKit
 
 /** Graph substrate: cleanup, degrees, transpose, reciprocal edges, BFS —
@@ -131,8 +131,21 @@ class GraphOpsSpec extends SparkSpec with GraphTestKit {
     assert(g.index eq ix)
     val t = g.transpose.index
     assert((t.out eq ix.in) && (t.in eq ix.out) && t.ids.sameElements(ix.ids))
-    assert(ix.dangling.toSeq == Seq(false, false, false, true))
-    assert(t.dangling.toSeq == Seq(false, false, false, false))
+    assert(ix.ids.toSeq == Seq(1L, 2L, 3L, 4L))
+    assert((0 until 4).map(ix.out.degree) == Seq(1, 1, 2, 0))
+    assert((0 until 4).map(t.out.degree) == Seq(1, 1, 1, 1))
+    assert(ix.out.nbrs.slice(ix.out.offsets(2), ix.out.offsets(3)).toSeq == Seq(0, 3))
+  }
+
+  test("after the first engine call, vertices, outDegrees, numVertices and numEdges start no Spark job") {
+    val g = graphOf((1L, 2L), (2L, 3L), (3L, 1L), (1L, 3L))
+    GraphOps.cappedBfs(g, 1L, 2)
+    val work = SparkWork.of(spark) {
+      assert(g.numVertices == 3 && g.numEdges == 4)
+      g.vertices.collect()
+      GraphOps.outDegrees(g).collect()
+    }
+    assert(work.jobs == 0, work)
   }
 
   test("fromLabeledEdges assigns deterministic ids by sorted label") {

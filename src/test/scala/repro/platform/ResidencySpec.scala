@@ -6,9 +6,9 @@ import repro.{SparkSpec, SparkWork}
 import repro.core.{GraphTestKit, PageRank, Reference}
 import repro.graph.DirectedGraph
 
-/** Resident datasets: a loaded graph and the index its first query builds
-  * serve every later query on the name, until the name is stored again or
-  * the residency cap evicts it.
+/** Resident datasets: a loaded graph and the driver-side index its first
+  * query builds serve every later query on the name, until the name is
+  * stored again or the residency cap evicts it.
   */
 class ResidencySpec extends SparkSpec with GraphTestKit {
 
@@ -21,15 +21,11 @@ class ResidencySpec extends SparkSpec with GraphTestKit {
     store
   }
 
-  private def persistent: Set[Int] = spark.sparkContext.getPersistentRDDs.keySet.toSet
-
-  private def indexRdds(g: DirectedGraph): Set[Int] = Set(g.index.out.id, g.index.in.id)
-
-  test("after a dataset's first query, PageRank, CheiRank and CycleRank queries write no shuffle") {
+  test("after a dataset's first query, PageRank, CheiRank and CycleRank queries start no Spark job") {
     val store = newStore()
     val exec = new PlatformExecutor(store)
     val first = SparkWork.of(spark)(exec.execute(Task("d", "pagerank", Map("maxIter" -> "10"))))
-    assert(first.shuffleWriteBytes > 0, "building the index shuffles the edges")
+    assert(first.jobs > 0, "building the index collects the cleaned edges")
     val ref = edges.head._1.toString
     for (task <- Seq(
         Task("d", "pagerank", Map("maxIter" -> "10")),
@@ -38,11 +34,7 @@ class ResidencySpec extends SparkSpec with GraphTestKit {
         Task("d", "cyclerank", Map("ref" -> ref, "k" -> "3")),
         Task("d", "cyclerank", Map("ref" -> ref, "k" -> "5")))) {
       val work = SparkWork.of(spark)(exec.execute(task))
-      assert(work.shuffleWriteBytes == 0, s"${task.algorithm} ${task.params}: $work")
-      if (task.algorithm == "cyclerank") {
-        val k = task.params("k").toInt
-        assert(work.jobs <= k, s"CycleRank at K=$k started ${work.jobs} jobs")
-      }
+      assert(work == SparkWork(0, 0), s"${task.algorithm} ${task.params}: $work")
     }
   }
 
@@ -53,23 +45,23 @@ class ResidencySpec extends SparkSpec with GraphTestKit {
     val scores = () => scoresMap(store.readResult(task.id).get)
     val old = store.loadDataset("d")
     exec.execute(task)
-    val oldIndex = indexRdds(old)
-    assert(oldIndex.subsetOf(persistent))
+    assert(store.loadDataset("d") eq old)
 
     val chain = Seq((1L, 2L), (2L, 3L), (3L, 1L), (3L, 4L))
     store.putDataset("d", graphOfSeq(chain))
-    assert(persistent.intersect(oldIndex).isEmpty, "the re-put kept the old index")
     exec.execute(task)
     val put = store.loadDataset("d")
     assert(put ne old)
+    assert(put.index.numEdges == chain.size, "the re-put kept the old index")
     assert(scores() == scoresMap(PageRank.run(graphOfSeq(chain), PageRank.Config(maxIter = 20))))
-    val putIndex = indexRdds(put)
 
     val net = Files.write(Files.createTempDirectory("upload").resolve("g.net"),
       Seq("*Vertices 3", "*Arcs", "1 2", "2 1", "2 3").asJava)
     store.uploadDataset("d", net)
-    assert(persistent.intersect(putIndex).isEmpty, "the re-upload kept the old index")
     exec.execute(task)
+    val uploaded = store.loadDataset("d")
+    assert(uploaded ne put)
+    assert(uploaded.index.ids.toSeq == Seq(1L, 2L, 3L), "the re-upload kept the old index")
     assert(scores().keySet == Set(1L, 2L, 3L))
     assert(scores() == scoresMap(PageRank.run(
       graphOf((1L, 2L), (2L, 1L), (2L, 3L)), PageRank.Config(maxIter = 20))))
@@ -81,7 +73,7 @@ class ResidencySpec extends SparkSpec with GraphTestKit {
     val cfg = PageRank.Config(maxIter = 15, tol = 0.0)
     val before = scoresMap(PageRank.run(g, cfg))
     store.putDataset("d", graphOf((1L, 2L)))
-    assert(persistent.intersect(indexRdds(g)).isEmpty)
+    assert(store.loadDataset("d") ne g)
     assert(scoresMap(PageRank.run(g, cfg)) == before)
   }
 
@@ -93,13 +85,18 @@ class ResidencySpec extends SparkSpec with GraphTestKit {
       Task("d", "cheirank", Map("maxIter" -> "10")),
       Task("d", "cyclerank", Map("ref" -> ref)),
       Task("d", "personalized-pagerank", Map("ref" -> ref)))
-    val before = persistent
+    // After its build, the index serves every query without a Spark job,
+    // so the four queries start exactly the jobs of one build.
+    val fresh = newStore()
+    val oneBuild = SparkWork.of(spark)(fresh.loadDataset("d").index).jobs
     val sched = new Scheduler(store, workers = 2)
-    try {
-      tasks.foreach(sched.submit)
-      tasks.foreach(t => assert(sched.await(t.id) == TaskState.Done, t.algorithm))
-    } finally sched.shutdown()
-    assert(persistent -- before == indexRdds(store.loadDataset("d")))
+    val work = SparkWork.of(spark) {
+      try {
+        tasks.foreach(sched.submit)
+        tasks.foreach(t => assert(sched.await(t.id) == TaskState.Done, t.algorithm))
+      } finally sched.shutdown()
+    }
+    assert(oneBuild > 0 && work.jobs == oneBuild, s"one build: $oneBuild jobs; the queries: $work")
   }
 
   test("going over the residency cap evicts the least recently used dataset") {
@@ -109,17 +106,14 @@ class ResidencySpec extends SparkSpec with GraphTestKit {
     val b = store.loadDataset("b")
     PageRank.run(a).collect()
     PageRank.run(b).collect()
-    val (aIndex, bIndex) = (indexRdds(a), indexRdds(b))
     assert(store.loadDataset("a") eq a) // a is now the most recently used
     val c = store.loadDataset("c") // 12 edges > 10: b goes
-    assert(persistent.intersect(bIndex).isEmpty, "the evicted dataset kept its index")
-    assert(aIndex.subsetOf(persistent))
     assert(store.loadDataset("a") eq a)
     assert(store.loadDataset("c") eq c)
     val b2 = store.loadDataset("b") // 12 edges again: a, now the least recently used, goes
     assert(b2 ne b)
-    assert(persistent.intersect(aIndex).isEmpty, "the evicted dataset kept its index")
     assert(store.loadDataset("c") eq c)
+    assert(store.loadDataset("a") ne a, "the evicted dataset was still resident")
   }
 
   test("PageRank on a resident graph equals a run on a fresh graph of the same edges, bit for bit") {
