@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.graph.{DirectedGraph, GraphOps}
+import repro.graph.{DirectedGraph, IndexedGraph}
 
 /** CycleRank (paper §II, Eq. 1; Consonni et al. 2020).
   *
@@ -9,24 +9,24 @@ import repro.graph.{DirectedGraph, GraphOps}
   * number of simple cycles of length n (edges) containing both the
   * reference node r and node i.
   *
-  * Evaluated in two steps:
+  * One kernel over the graph's driver-side [[repro.graph.IndexedGraph]],
+  * with no Spark job — the analogue of the authors' reference C++
+  * implementation, a depth-bounded form of Johnson's simple-cycle
+  * enumeration (D. B. Johnson, SIAM J. Comput. 4(1), 1975):
   *
-  *  1. '''Prune''' — r must be a vertex of the graph's driver-side
-  *     [[repro.graph.IndexedGraph]] (an id lookup). A capped BFS from r
-  *     then runs forward over the index's out-adjacency and backward over
-  *     its in-adjacency, K−1 levels at most, with plain array loops and no
-  *     Spark job ([[GraphOps.cappedBfs]]).
-  *     A vertex can lie on a qualifying cycle only if
-  *     `distₒᵤₜ(r,v) + distᵢₙ(v,r) ≤ K`; these vertices form the support.
-  *     On hub-and-community graphs it is orders of magnitude smaller than
-  *     the graph.
-  *  2. '''Kernel''' — the edges with both endpoints in the support are
-  *     read from the index's rows ([[supportEdges]]) and handed to
-  *     [[LocalCycleRank.runOnEdges]], which enumerates every simple cycle of
-  *     length ≤ K through r by bounded DFS (Johnson-style), within a budget
-  *     of [[MaxKernelSteps]] path extensions, and credits
-  *     `σ(n)` to each of its members. The support-induced subgraph keeps
-  *     every such cycle, so the answer is exact.
+  *  1. '''Backward BFS''' — the hop counts `bdist(v)` from every vertex v
+  *     back to r, over the index's in-adjacency, K−1 levels at most.
+  *  2. '''DFS''' — every simple path from r over the out-adjacency is
+  *     extended to `w` only while `bdist(w) ≤ K − len` still lets the
+  *     cycle close within K edges; each edge back to r closes a cycle and
+  *     credits its length to every vertex on the path. The DFS keeps its
+  *     path on an explicit stack, so a long cycle does not deepen the JVM
+  *     stack, and it stops after [[MaxKernelSteps]] path extensions.
+  *
+  * A path of `len` edges from r reaches only vertices at forward distance
+  * ≤ len, so the guard keeps the DFS inside the support
+  * `distₒᵤₜ(r,v) + distᵢₙ(v,r) ≤ K` without a forward BFS, and the answer
+  * is exact.
   *
   * The result contains only vertices with a strictly positive score (the
   * paper's Table III shows short lists — "–" cells — when fewer than five
@@ -42,54 +42,86 @@ object CycleRank {
     require(k >= 2, s"K must be > 1 (got $k)")
   }
 
-  /** Maximum number of support edges handed to the driver kernel. */
-  val MaxDriverEdges: Int = 5_000_000
-
   /** Maximum number of path extensions the kernel's DFS makes for one
-    * query: the enumeration is exponential in K, and a dense support within
-    * [[MaxDriverEdges]] can hold ~10¹² paths of length < 5. An extension
-    * scans the new vertex's out-neighbours, so its cost grows with the
-    * degree: on complete digraphs it took 0.10 µs at degree 39, 0.35 µs at
+    * query: the enumeration is exponential in K (from a vertex of a complete
+    * digraph of degree d there are ~d^(K−1) simple paths of fewer than K
+    * edges). An extension scans the new vertex's whole out-row in the
+    * index, so its cost grows with the out-degree: on complete digraphs,
+    * where every row is whole, it took 0.10 µs at degree 39, 0.35 µs at
     * degree 199 and 2.0 µs at degree 999 (4-core VM, median of 3), so the
     * kernel gives up within about 7 s at degree 200 and 40 s at degree
-    * 1 000. Extrapolated linearly, that is about 1.5 minutes at degree
-    * ~2 200, the densest support [[MaxDriverEdges]] admits. The largest
-    * bench query (cr-large, K=5) makes 32 856 extensions.
+    * 1 000. Beyond that the time grows with the degree; no figure above
+    * degree 999 was measured. The largest bench query (cr-large, K=5) makes
+    * 32 856 extensions.
     */
   val MaxKernelSteps: Long = 20_000_000L
 
   /** CycleRank of `ref`. Returns `(id, score)` with `score > 0`. */
   def run(g: DirectedGraph, ref: Long, cfg: Config = Config()): DataFrame = {
-    val spark = g.edges.sparkSession
-    require(g.index.contains(ref), s"reference node $ref is not in the graph")
-    val (fwd, bwd) = GraphOps.cappedBfs(g, ref, cfg.k - 1)
-    val support = fwd.keySet.filter(v => bwd.get(v).exists(_ + fwd(v) <= cfg.k))
-    // With a support of r alone, r shares no cycle of length ≤ K.
-    if (support.size <= 1) return scoresDf(spark, Map.empty)
-    val edges = supportEdges(g, support, ref, cfg.k, MaxDriverEdges)
-    scoresDf(spark, LocalCycleRank.runOnEdges(edges, ref, cfg))
+    val ix = g.index
+    require(ix.contains(ref), s"reference node $ref is not in the graph")
+    scoresDf(g.edges.sparkSession, scores(ix, ref, cfg, MaxKernelSteps))
   }
 
-  /** The edges with both endpoints in `support`, read from the rows of the
-    * index's out-adjacency whose vertex is in a bit set of the support's
-    * indices. Fails naming `ref`, `k` and `limit` when there are more than
-    * `limit` of them.
+  /** The kernel: the positive scores of the vertices of `ix` that share a
+    * cycle of length ≤ K with `ref`, a vertex of `ix`. Fails naming `ref`
+    * and K when the DFS would extend a path more than `maxSteps` times.
     */
-  private[core] def supportEdges(g: DirectedGraph, support: Set[Long], ref: Long, k: Int,
-                                 limit: Int): Seq[(Long, Long)] = {
-    val ix = g.index
+  private[core] def scores(ix: IndexedGraph, ref: Long, cfg: Config,
+                           maxSteps: Long): Map[Long, Double] = {
     val out = ix.out
-    val inSupport = new java.util.BitSet(ix.numVertices)
-    support.iterator.map(ix.indexOf).filter(_ >= 0).foreach(inSupport.set)
-    val edges = Iterator.iterate(inSupport.nextSetBit(0))(v => inSupport.nextSetBit(v + 1))
-      .takeWhile(_ >= 0)
-      .flatMap(v => (out.offsets(v) until out.offsets(v + 1)).iterator.map(out.nbrs)
-        .filter(inSupport.get).map(w => (ix.ids(v), ix.ids(w))))
-      .take(limit + 1).toVector
-    require(edges.length <= limit,
-      s"CycleRank support of reference $ref at K=$k has more than $limit edges, " +
-      "the most the driver kernel takes")
-    edges
+    val r = ix.indexOf(ref)
+    // Backward distances to r, up to K-1 (Int.MaxValue beyond).
+    val bdist = IndexedGraph.distances(ix.in, r, cfg.k - 1)
+    // Every vertex on a cycle through r is in its backward ball, and no
+    // simple cycle is longer than the ball, so the arrays and the scores
+    // are sized by min(K, ball size): a larger K changes neither.
+    val k = math.min(cfg.k, bdist.count(_ < Int.MaxValue))
+
+    // Cycles per (vertex, length) are counted exactly; the scores are
+    // summed from the counts in increasing length, so they do not depend
+    // on edge order and exact ties stay exact.
+    val counts = new Array[Array[Long]](ix.numVertices)
+    // path(0 until len) is the current path, path(0) = r; next(d) is the
+    // position in out.nbrs of path(d)'s next successor to try.
+    val path = new Array[Int](k)
+    val next = new Array[Int](k)
+    val onPath = new Array[Boolean](ix.numVertices)
+    path(0) = r; next(0) = out.offsets(r); onPath(r) = true
+    var len = 1
+    var steps = 0L
+    while (len > 0) {
+      val v = path(len - 1)
+      if (next(len - 1) == out.offsets(v + 1)) {
+        onPath(v) = false; len -= 1
+      } else {
+        val w = out.nbrs(next(len - 1))
+        next(len - 1) += 1
+        if (w == r) {
+          if (len >= 2) {
+            var p = 0
+            while (p < len) {
+              val u = path(p)
+              if (counts(u) == null) counts(u) = new Array[Long](k + 1)
+              counts(u)(len) += 1
+              p += 1
+            }
+          }
+        } else if (len < k && !onPath(w) && bdist(w) <= k - len) {
+          steps += 1
+          require(steps <= maxSteps,
+            s"CycleRank enumeration for reference $ref at K=${cfg.k} exceeded its budget of " +
+            s"$maxSteps DFS steps (reached $steps)")
+          path(len) = w; next(len) = out.offsets(w); onPath(w) = true
+          len += 1
+        }
+      }
+    }
+    counts.indices.iterator.filter(counts(_) != null).map { u =>
+      var score = 0.0
+      for (l <- 2 to k) score += cfg.scoring.sigma(l) * counts(u)(l)
+      ix.ids(u) -> score
+    }.filter(_._2 > 0).toMap
   }
 
   private def scoresDf(spark: SparkSession, scores: Map[Long, Double]): DataFrame = {

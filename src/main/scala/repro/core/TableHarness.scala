@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import repro.graph.DirectedGraph
 
 /** Renders the paper-style "top-k per algorithm" tables (Tables I–III)
-  * from score frames, resolving node ids to labels.
+  * from score frames, resolving node ids to labels on the driver.
   */
 object TableHarness {
 
@@ -15,22 +15,26 @@ object TableHarness {
     */
   final case class Column(title: String, entries: Seq[String])
 
-  /** Top-k labels of a `(id, score)` frame on graph `g`.
+  /** Top-k labels of a `(id, score)` frame on graph `g`, by score
+    * descending then id ascending; an id with no label stands for itself.
+    * The frame is collected and ranked on the driver, and only the top k
+    * ids' labels are read.
     *
     * @param excludeRef drop this node from the list first (Table II/III
     *                   convention; Table I keeps the reference as row 1)
     */
   def topLabels(g: DirectedGraph, scores: DataFrame, k: Int,
                 excludeRef: Option[Long] = None): Seq[String] = {
-    val filtered = excludeRef match {
-      case Some(r) => scores.where(col("id") =!= r)
-      case None    => scores
-    }
-    val top = filtered.orderBy(col("score").desc, col("id").asc).limit(k)
-    val labelled = g.withLabels(top)
-      .orderBy(col("score").desc, col("id").asc)
-      .select(col("label")).collect().toSeq.map(_.getString(0))
-    labelled.padTo(k, "–")
+    val top = scores.select(col("id"), col("score")).collect()
+      .map(r => (r.getLong(0), r.getDouble(1)))
+      .filterNot { case (id, _) => excludeRef.contains(id) }
+      .sortBy { case (id, score) => (-score, id) }
+      .take(k).map(_._1)
+    val labels = g.labels.fold(Map.empty[Long, String])(
+      _.where(col("id").isin(top.toIndexedSeq: _*))
+        .select(col("id").cast("long"), col("label")).collect()
+        .map(r => r.getLong(0) -> r.getString(1)).toMap)
+    top.toSeq.map(id => labels.getOrElse(id, id.toString)).padTo(k, "–")
   }
 
   /** Fixed-width ASCII rendering of a table, row per rank. */

@@ -49,17 +49,6 @@ final case class DirectedGraph(edges: DataFrame, labels: Option[DataFrame] = Non
     t.indexSource = () => index.transpose
     t
   }
-
-  /** Attach human-readable labels to a `(id, ...)` result frame, keeping
-    * all original columns and adding `label` (falls back to the id).
-    */
-  def withLabels(result: DataFrame): DataFrame = labels match {
-    case Some(l) =>
-      result.join(l, Seq("id"), "left")
-        .withColumn("label", coalesce(col("label"), col("id").cast("string")))
-    case None =>
-      result.withColumn("label", col("id").cast("string"))
-  }
 }
 
 object DirectedGraph {

@@ -35,46 +35,20 @@ object GraphOps {
   }
 
   /** Vertices within `maxDist` hops of `source` following edge direction:
-    * `(id, dist)` with `dist` the minimum hop count (source itself at 0).
-    * One direction of [[cappedBfs]].
+    * `(id, dist)` with `dist` the minimum hop count (source itself at 0),
+    * read from the graph's [[IndexedGraph]] by [[IndexedGraph.distances]].
     */
   def bfsDistances(g: DirectedGraph, source: Long, maxDist: Int): DataFrame = {
     val spark = g.edges.sparkSession
     import spark.implicits._
-    cappedBfs(g, source, maxDist, backward = false)._1.toSeq.toDF("id", "dist")
-  }
-
-  /** Capped BFS from `source`, forward along `src→dst` and (if `backward`)
-    * backward along `dst→src`, over the graph's driver-side
-    * [[IndexedGraph]]: each level expands a frontier by reading its rows of
-    * the out- or the in-adjacency, and starts no Spark job. Stops after
-    * `maxDist` levels or when the frontier is empty.
-    *
-    * @return forward and backward minimum hop counts, `source` at 0 in
-    *         both (the backward map is just the source if `!backward`)
-    */
-  def cappedBfs(g: DirectedGraph, source: Long, maxDist: Int,
-                backward: Boolean = true): (Map[Long, Int], Map[Long, Int]) = {
     val ix = g.index
     val s = ix.indexOf(source)
-    def bfs(adj: IndexedGraph.Csr): Map[Long, Int] = {
-      val reached = Map.newBuilder[Long, Int] += source -> 0
-      val seen = new java.util.BitSet(ix.numVertices)
-      seen.set(s)
-      var frontier = Array(s)
-      var d = 0
-      while (d < maxDist && frontier.nonEmpty) {
-        d += 1
-        val next = Array.newBuilder[Int]
-        for (v <- frontier; j <- adj.offsets(v) until adj.offsets(v + 1)) {
-          val w = adj.nbrs(j)
-          if (!seen.get(w)) { seen.set(w); next += w; reached += ix.ids(w) -> d }
-        }
-        frontier = next.result()
+    val reached =
+      if (s < 0) Seq(source -> 0)
+      else {
+        val dist = IndexedGraph.distances(ix.out, s, maxDist)
+        ix.ids.indices.filter(dist(_) < Int.MaxValue).map(v => ix.ids(v) -> dist(v))
       }
-      reached.result()
-    }
-    if (s < 0) (Map(source -> 0), Map(source -> 0))
-    else (bfs(ix.out), if (backward) bfs(ix.in) else Map(source -> 0))
+    reached.toDF("id", "dist")
   }
 }

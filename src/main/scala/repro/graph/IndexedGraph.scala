@@ -6,8 +6,8 @@ import org.apache.spark.sql.functions.col
   * driver: built once per graph by its first engine call
   * ([[DirectedGraph.index]]) and read with plain array loops by every
   * engine after that: PageRank's sweeps, CheiRank's (on the swapped
-  * directions), and CycleRank's BFS and support collect. No engine call
-  * on an indexed graph starts a Spark job.
+  * directions), and CycleRank's backward BFS and DFS. No engine call on an
+  * indexed graph starts a Spark job.
   *
   * A vertex's index is its position in `ids`: the sorted, distinct ids of
   * the edges' endpoints and of the labels (labelled isolated vertices are
@@ -43,31 +43,58 @@ object IndexedGraph {
     def degree(v: Int): Int = offsets(v + 1) - offsets(v)
   }
 
-  /** Builds `g`'s index from one collect of its edges, packed as longs,
-    * plus its label ids.
-    */
+  /** Builds `g`'s index from one collect of its edges plus its label ids. */
   def build(g: DirectedGraph): IndexedGraph = {
     val spark = g.edges.sparkSession
     import spark.implicits._
-    val endpoints = g.edges.select(col("src"), col("dst")).rdd.mapPartitions { rows =>
-      val b = Array.newBuilder[Long]
-      rows.foreach { r => b += r.getLong(0); b += r.getLong(1) }
-      Iterator.single(b.result())
-    }.collect().flatten
+    val parts = g.edges.select(col("src"), col("dst")).rdd.mapPartitions { rows =>
+      val (src, dst) = (Array.newBuilder[Long], Array.newBuilder[Long])
+      rows.foreach { r => src += r.getLong(0); dst += r.getLong(1) }
+      Iterator.single((src.result(), dst.result()))
+    }.collect()
     val labelIds = g.labels.fold(Array.empty[Long])(_.select(col("id").cast("long")).as[Long].collect())
-    val ids = endpoints ++ labelIds
+    fromArrays(parts.flatMap(_._1), parts.flatMap(_._2), labelIds)
+  }
+
+  /** The index of the edges `src(e) → dst(e)`, whose vertices are their
+    * endpoints plus `extraIds`. Self-loops and repeated edges are dropped.
+    */
+  def fromArrays(src: Array[Long], dst: Array[Long], extraIds: Array[Long]): IndexedGraph = {
+    val ids = Array.concat(src, dst, extraIds)
     java.util.Arrays.sort(ids)
     var n = 0 // ids(0 until n) are the distinct ids seen so far, compacted in place
     for (v <- ids if n == 0 || ids(n - 1) != v) { ids(n) = v; n += 1 }
-    val m = endpoints.length / 2
     val sorted = ids.take(n)
-    val src = Array.tabulate(m)(e => java.util.Arrays.binarySearch(sorted, endpoints(2 * e)))
-    val dst = Array.tabulate(m)(e => java.util.Arrays.binarySearch(sorted, endpoints(2 * e + 1)))
-    new IndexedGraph(sorted, csr(n, src, dst), csr(n, dst, src))
+    val from = src.map(java.util.Arrays.binarySearch(sorted, _))
+    val to = dst.map(java.util.Arrays.binarySearch(sorted, _))
+    new IndexedGraph(sorted, csr(n, from, to), csr(n, to, from))
+  }
+
+  /** Hop counts from `source` along `adj`, at most `maxDist`: `Int.MaxValue`
+    * for the vertices not reached within it.
+    */
+  def distances(adj: Csr, source: Int, maxDist: Int): Array[Int] = {
+    val dist = Array.fill(adj.offsets.length - 1)(Int.MaxValue)
+    dist(source) = 0
+    // The vertices reached, in the order reached: nearer ones first.
+    val queue = new Array[Int](dist.length)
+    queue(0) = source
+    var head = 0
+    var tail = 1
+    while (head < tail && dist(queue(head)) < maxDist) {
+      val v = queue(head)
+      head += 1
+      for (j <- adj.offsets(v) until adj.offsets(v + 1)) {
+        val w = adj.nbrs(j)
+        if (dist(w) == Int.MaxValue) { dist(w) = dist(v) + 1; queue(tail) = w; tail += 1 }
+      }
+    }
+    dist
   }
 
   /** The rows of the edges `from(e) → to(e)`, each row sorted, so every
-    * pass over a row meets its neighbours in the same order.
+    * pass over a row meets its neighbours in the same order, and without
+    * the row's own vertex or repeats.
     */
   private def csr(n: Int, from: Array[Int], to: Array[Int]): Csr = {
     val offsets = new Array[Int](n + 1)
@@ -76,7 +103,16 @@ object IndexedGraph {
     val next = offsets.clone()
     val nbrs = new Array[Int](to.length)
     for (e <- to.indices) { nbrs(next(from(e))) = to(e); next(from(e)) += 1 }
-    for (v <- 0 until n) java.util.Arrays.sort(nbrs, offsets(v), offsets(v + 1))
-    new Csr(offsets, nbrs)
+    var m = 0 // nbrs(0 until m) are the rows kept so far, compacted in place
+    for (v <- 0 until n) {
+      val (lo, hi) = (offsets(v), offsets(v + 1))
+      java.util.Arrays.sort(nbrs, lo, hi)
+      offsets(v) = m
+      for (j <- lo until hi if nbrs(j) != v && (m == offsets(v) || nbrs(m - 1) != nbrs(j))) {
+        nbrs(m) = nbrs(j); m += 1
+      }
+    }
+    offsets(n) = m
+    new Csr(offsets, java.util.Arrays.copyOf(nbrs, m))
   }
 }

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions.{col, min}
 import repro.{Oracle, SparkSpec}
 import repro.data.SyntheticGraphs
+import repro.platform.{AlgorithmRegistry, Datastore, Scheduler, Task, TaskState}
 
 /** CycleRank: closed-form cases, the unpruned brute-force reference, the
   * DuckDB recursive-CTE oracle, the kernel on the whole graph, scoring
@@ -119,15 +120,6 @@ class CycleRankSpec extends SparkSpec with GraphTestKit {
     (1L until m).foreach(i => assert(s(i) == withI.toDouble))
   }
 
-  test("support edges are collected up to the driver limit") {
-    val g = graphOf((1L, 2L), (2L, 1L), (2L, 3L), (3L, 1L), (3L, 4L))
-    val got = CycleRank.supportEdges(g, Set(1L, 2L, 3L), ref = 1L, k = 3, limit = 4)
-    assert(got.toSet == Set((1L, 2L), (2L, 1L), (2L, 3L), (3L, 1L)))
-    val ex = intercept[IllegalArgumentException](
-      CycleRank.supportEdges(g, Set(1L, 2L, 3L), ref = 1L, k = 3, limit = 3))
-    Seq("reference 1", "K=3", "more than 3 edges").foreach(w => assert(ex.getMessage.contains(w)))
-  }
-
   // Batch: brute-force reference, multiple K and scorings.
   for (seed <- 1 to 8; k <- Seq(3, 4)) {
     test(s"matches brute-force reference seed=$seed K=$k") {
@@ -201,6 +193,32 @@ class CycleRankSpec extends SparkSpec with GraphTestKit {
     val atN = query(g.numVertices)
     assert(atN.keySet == Set(1L, 2L, 3L, 4L, 5L))
     assert(query(Int.MaxValue) == atN)
+  }
+
+  // A directed ring of 5 000 vertices: its one cycle has 5 000 edges, so a
+  // DFS that recursed once per path extension would overflow a thread's
+  // stack. σ ≡ 1, because e^-5000 underflows to 0.
+  private val ring = (0L until 5000L).map(v => (v, (v + 1) % 5000))
+  private def ringQuery(k: Int) = Map("ref" -> "0", "k" -> k.toString, "sigma" -> "const")
+
+  test("a 5 000-vertex ring scores every vertex 1.0 at K = n and at K = Int.MaxValue") {
+    val g = graphOfSeq(ring)
+    for (k <- Seq(5000, Int.MaxValue)) {
+      val s = scoresMap(AlgorithmRegistry("cyclerank")(g, ringQuery(k)))
+      assert(s.size == 5000 && s.values.forall(_ == 1.0), s"K=$k")
+    }
+  }
+
+  test("a 5 000-vertex ring query through the Scheduler ends Done") {
+    val store = Datastore.temp(spark)
+    store.putDataset("ring", graphOfSeq(ring))
+    val sched = new Scheduler(store, workers = 1)
+    try {
+      val task = Task("ring", "cyclerank", ringQuery(Int.MaxValue))
+      assert(sched.await(sched.submit(task)) == TaskState.Done, store.readLog(task.id).mkString.take(300))
+      val s = scoresMap(store.readResult(task.id).get)
+      assert(s.size == 5000 && s.values.forall(_ == 1.0))
+    } finally sched.shutdown()
   }
 
   test("distributed and local CycleRank agree at bench scale") {

@@ -2,8 +2,8 @@ package repro.core
 
 import repro.SparkSpec
 
-/** The driver-side enumeration kernel: agreement with brute force and with
-  * the distributed engine, plus its DFS step budget.
+/** CycleRank's kernel on an edge list: agreement with brute force and with
+  * the engine on a graph, plus its DFS step budget.
   */
 class LocalCycleRankSpec extends SparkSpec with GraphTestKit {
 
@@ -31,6 +31,8 @@ class LocalCycleRankSpec extends SparkSpec with GraphTestKit {
   test("empty result when the reference has no cycles") {
     val s = LocalCycleRank.runOnEdges(Seq((1L, 2L), (2L, 3L)), 1L, CycleRank.Config(3))
     assert(s.isEmpty)
+    assert(LocalCycleRank.runOnEdges(Seq((1L, 2L), (2L, 1L)), 9L, CycleRank.Config(3)).isEmpty,
+      "a reference on no edge")
   }
 
   test("dedups and drops self-loops like the distributed engine") {

@@ -100,28 +100,41 @@ class GraphOpsSpec extends SparkSpec with GraphTestKit {
     val es = repro.core.Reference.randomGraph(n = 30, m = 70, seed = 17)
     val g = graphOfSeq(es)
     val src = es.head._1
-    val d = GraphOps.bfsDistances(g, src, 4)
-    assert(d.where(col("dist") >= 3).count() > 0, "the BFS should run several levels")
-    Oracle.assertEquivalent(
-      d,
-      s"""WITH RECURSIVE e AS (
-        |  SELECT CAST(src AS BIGINT) src, CAST(dst AS BIGINT) dst FROM edges
-        |), reach(id, dist) AS (
-        |  SELECT CAST($src AS BIGINT), 0
-        |  UNION ALL
-        |  SELECT e.dst, r.dist + 1 FROM reach r JOIN e ON r.id = e.src WHERE r.dist < 4
-        |)
-        |SELECT id, MIN(dist) AS dist FROM reach GROUP BY id""".stripMargin,
-      "edges" -> g.edges)
+    // Forward on the graph, and backward as forward on its transpose, whose
+    // index is the graph's with the directions swapped.
+    for (h <- Seq(g, g.transpose)) {
+      val d = GraphOps.bfsDistances(h, src, 4)
+      assert(d.where(col("dist") >= 3).count() > 0, "the BFS should run several levels")
+      Oracle.assertEquivalent(
+        d,
+        s"""WITH RECURSIVE e AS (
+          |  SELECT CAST(src AS BIGINT) src, CAST(dst AS BIGINT) dst FROM edges
+          |), reach(id, dist) AS (
+          |  SELECT CAST($src AS BIGINT), 0
+          |  UNION ALL
+          |  SELECT e.dst, r.dist + 1 FROM reach r JOIN e ON r.id = e.src WHERE r.dist < 4
+          |)
+          |SELECT id, MIN(dist) AS dist FROM reach GROUP BY id""".stripMargin,
+        "edges" -> h.edges)
+    }
   }
 
   test("cappedBfs advances both directions: backward equals forward on the transpose") {
     val es = repro.core.Reference.randomGraph(n = 30, m = 70, seed = 23)
     val g = graphOfSeq(es)
     val src = es.map(_._1).find(v => es.exists(_._2 == v)).get
-    val (fwd, bwd) = GraphOps.cappedBfs(g, src, 3)
-    assert(fwd == GraphOps.cappedBfs(g, src, 3, backward = false)._1)
-    assert(bwd == GraphOps.cappedBfs(g.transpose, src, 3, backward = false)._1)
+    val ix = g.index
+    val s = ix.indexOf(src)
+    def reached(d: Array[Int]): Map[Long, Int] =
+      d.indices.filter(d(_) != Int.MaxValue).map(i => ix.ids(i) -> d(i)).toMap
+    def driven(h: DirectedGraph): Map[Long, Int] =
+      GraphOps.bfsDistances(h, src, 3).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+    // Backward is forward along the in-rows, as CycleRank walks it.
+    val fwd = reached(IndexedGraph.distances(ix.out, s, 3))
+    val bwd = reached(IndexedGraph.distances(ix.in, s, 3))
+    assert(fwd == driven(g))
+    assert(bwd == reached(IndexedGraph.distances(g.transpose.index.out, s, 3)))
+    assert(bwd == driven(g.transpose))
     assert(fwd.size > 1 && bwd.size > 1)
   }
 
@@ -139,7 +152,7 @@ class GraphOpsSpec extends SparkSpec with GraphTestKit {
 
   test("after the first engine call, vertices, outDegrees, numVertices and numEdges start no Spark job") {
     val g = graphOf((1L, 2L), (2L, 3L), (3L, 1L), (1L, 3L))
-    GraphOps.cappedBfs(g, 1L, 2)
+    g.index
     val work = SparkWork.of(spark) {
       assert(g.numVertices == 3 && g.numEdges == 4)
       g.vertices.collect()
@@ -154,15 +167,6 @@ class GraphOpsSpec extends SparkSpec with GraphTestKit {
     assert(labels == Map(0L -> "a", 1L -> "b", 2L -> "c"))
     val es = g.edges.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(es == Set((1L, 0L), (0L, 2L)))
-  }
-
-  test("withLabels falls back to the id when no label exists") {
-    import spark.implicits._
-    val g = DirectedGraph(Seq((1L, 2L)).toDF("src", "dst"),
-      Some(Seq((1L, "one")).toDF("id", "label")))
-    val out = g.withLabels(Seq((1L, 0.5), (2L, 0.4)).toDF("id", "score"))
-      .collect().map(r => r.getLong(0) -> r.getString(2)).toMap
-    assert(out == Map(1L -> "one", 2L -> "2"))
   }
 
   test("labelled isolated vertices appear in vertices") {
