@@ -76,12 +76,19 @@ object CycleRank {
     // Every vertex on a cycle through r is in its backward ball, and no
     // simple cycle is longer than the ball, so the arrays and the scores
     // are sized by min(K, ball size): a larger K changes neither.
-    val k = math.min(cfg.k, bdist.count(_ < Int.MaxValue))
+    val ball = bdist.count(_ < Int.MaxValue)
+    val k = math.min(cfg.k, ball)
 
     // Cycles per (vertex, length) are counted exactly; the scores are
     // summed from the counts in increasing length, so they do not depend
-    // on edge order and exact ties stay exact.
-    val counts = new Array[Array[Long]](ix.numVertices)
+    // on edge order and exact ties stay exact. Only the lengths that occur
+    // get counts: counts(len)(pos(u) - 1) counts u's cycles of length len,
+    // where pos(u) numbers the vertices from 1 as they are first found on
+    // a cycle (0: not yet). A counts row grows to twice the vertices found
+    // when it is too short for them, and never beyond the ball.
+    val counts = new Array[Array[Long]](k + 1)
+    val pos = new Array[Int](ix.numVertices)
+    var found = 0
     // path(0 until len) is the current path, path(0) = r; next(d) is the
     // position in out.nbrs of path(d)'s next successor to try.
     val path = new Array[Int](k)
@@ -101,11 +108,14 @@ object CycleRank {
           if (len >= 2) {
             var p = 0
             while (p < len) {
-              val u = path(p)
-              if (counts(u) == null) counts(u) = new Array[Long](k + 1)
-              counts(u)(len) += 1
+              if (pos(path(p)) == 0) { found += 1; pos(path(p)) = found }
               p += 1
             }
+            val row = counts(len)
+            if (row == null) counts(len) = new Array[Long](math.min(2 * found, ball))
+            else if (row.length < found) counts(len) = java.util.Arrays.copyOf(row, math.min(2 * found, ball))
+            p = 0
+            while (p < len) { counts(len)(pos(path(p)) - 1) += 1; p += 1 }
           }
         } else if (len < k && !onPath(w) && bdist(w) <= k - len) {
           steps += 1
@@ -117,11 +127,23 @@ object CycleRank {
         }
       }
     }
-    counts.indices.iterator.filter(counts(_) != null).map { u =>
+    // A length with no row, or a row too short for u, would add 0.0 to the
+    // sum, which leaves it unchanged: skipping them keeps the scores those
+    // of a sum over every length.
+    val lengths = Array.range(2, k + 1).filter(counts(_) != null)
+    val sigma = lengths.map(cfg.scoring.sigma)
+    val result = Map.newBuilder[Long, Double]
+    for (u <- pos.indices if pos(u) > 0) {
       var score = 0.0
-      for (l <- 2 to k) score += cfg.scoring.sigma(l) * counts(u)(l)
-      ix.ids(u) -> score
-    }.filter(_._2 > 0).toMap
+      var i = 0
+      while (i < lengths.length) {
+        val row = counts(lengths(i))
+        if (pos(u) <= row.length) score += sigma(i) * row(pos(u) - 1)
+        i += 1
+      }
+      if (score > 0) result += ix.ids(u) -> score
+    }
+    result.result()
   }
 
   private def scoresDf(spark: SparkSession, scores: Map[Long, Double]): DataFrame = {

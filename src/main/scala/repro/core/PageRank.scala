@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.graph.DirectedGraph
+import repro.graph.{DirectedGraph, IndexedGraph}
 
 /** PageRank and Personalized PageRank (paper §II).
   *
@@ -16,9 +16,9 @@ import repro.graph.DirectedGraph
   *  - iteration stops when the L1 change drops below `tol` or after
   *    `maxIter` sweeps.
   *
-  * [[run]] is the engine; [[step]] is the same sweep as a DataFrame, which
-  * the DuckDB oracle checks with plain SQL and tests iterate against
-  * [[run]].
+  * [[run]] is the engine, [[scores]] its kernel on the index; [[step]] is
+  * the same sweep as a DataFrame, which the DuckDB oracle checks with plain
+  * SQL and tests iterate against [[run]].
   */
 object PageRank {
 
@@ -61,21 +61,26 @@ object PageRank {
   }
 
   /** Power iteration on the driver. Returns `(id, score)`, scores summing
-    * to 1.
-    *
-    * It reads the graph's driver-side [[IndexedGraph]], which the first
-    * engine call on the graph builds and every later run reuses, so a run
-    * starts no Spark job. The scores and the teleport vector `t` are dense
-    * arrays. A sweep visits the vertices in index order and adds each
-    * `score(src)/outdeg` share to its out-neighbours in row order, then
-    * applies the teleport and the dangling mass: every run adds the same
-    * doubles in the same order, whatever the session's partitioning. The
-    * driver holds four n-length arrays of doubles.
+    * to 1: the [[scores]] of the graph's driver-side [[IndexedGraph]],
+    * which the first engine call on the graph builds and every later run
+    * reuses, so a run starts no Spark job.
     */
   def run(g: DirectedGraph, cfg: Config = Config()): DataFrame = {
     val spark = g.edges.sparkSession
     import spark.implicits._
     val ix = g.index
+    ix.ids.zip(scores(ix, cfg)).toSeq.toDF("id", "score")
+  }
+
+  /** The kernel: the scores of the vertices of `ix`, in index order. The
+    * scores and the teleport vector `t` are dense arrays. A sweep visits
+    * the vertices in index order and adds each `score(src)/outdeg` share
+    * to its out-neighbours in row order, then applies the teleport and the
+    * dangling mass: every run adds the same doubles in the same order,
+    * whatever the session's partitioning. The driver holds four n-length
+    * arrays of doubles. CheiRank is this kernel on `ix.transpose`.
+    */
+  private[core] def scores(ix: IndexedGraph, cfg: Config): Array[Double] = {
     val n = ix.numVertices
     val refs = cfg.teleport.distinct.map(ix.indexOf)
     require(refs.forall(_ >= 0),
@@ -103,6 +108,6 @@ object PageRank {
       score = next
       it += 1
     }
-    ix.ids.zip(score).toSeq.toDF("id", "score")
+    score
   }
 }

@@ -1,19 +1,18 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
-
-/** Rank positions, as 2DRank combines them. Ties are always broken by ascending node id so results are
-  * deterministic (DESIGN.md, "Documented algorithmic choices").
+/** Rank positions: by score descending, ties by ascending node id, so results
+  * are deterministic (DESIGN.md, "Documented algorithmic choices"). This is
+  * the one implementation of that rule: 2DRank ranks PageRank and CheiRank
+  * with it, and [[TableHarness.topLabels]] picks the tables' top k with it.
   */
 object Ranking {
 
-  /** Add a 1-based `rank` column to a `(id, score, ...)` frame: position
-    * when sorting by score descending, ties by id ascending.
+  /** The positions of `scores` in rank order, so the position at p has
+    * rank p + 1: by score descending, ties by ascending position. Scores
+    * aligned with sorted ids, as an [[repro.graph.IndexedGraph]]'s are,
+    * thus tie by ascending id.
     */
-  def withRank(scores: DataFrame): DataFrame = {
-    val w = Window.orderBy(col("score").desc, col("id").asc)
-    scores.withColumn("rank", row_number().over(w))
-  }
+  def order(scores: Array[Double]): Array[Int] =
+    // sortWith is stable: tied positions keep their ascending order.
+    Array.range(0, scores.length).sortWith((a, b) => java.lang.Double.compare(scores(a), scores(b)) > 0)
 }

@@ -16,20 +16,20 @@ object TableHarness {
   final case class Column(title: String, entries: Seq[String])
 
   /** Top-k labels of a `(id, score)` frame on graph `g`, by score
-    * descending then id ascending; an id with no label stands for itself.
-    * The frame is collected and ranked on the driver, and only the top k
-    * ids' labels are read.
+    * descending then id ascending ([[Ranking]]); an id with no label stands
+    * for itself. The frame is collected and ranked on the driver, and only
+    * the top k ids' labels are read.
     *
     * @param excludeRef drop this node from the list first (Table II/III
     *                   convention; Table I keeps the reference as row 1)
     */
   def topLabels(g: DirectedGraph, scores: DataFrame, k: Int,
                 excludeRef: Option[Long] = None): Seq[String] = {
-    val top = scores.select(col("id"), col("score")).collect()
+    val rows = scores.select(col("id"), col("score")).collect()
       .map(r => (r.getLong(0), r.getDouble(1)))
       .filterNot { case (id, _) => excludeRef.contains(id) }
-      .sortBy { case (id, score) => (-score, id) }
-      .take(k).map(_._1)
+      .sortBy(_._1) // so that Ranking's ties by position are ties by id
+    val top = Ranking.order(rows.map(_._2)).take(k).map(rows(_)._1)
     val labels = g.labels.fold(Map.empty[Long, String])(
       _.where(col("id").isin(top.toIndexedSeq: _*))
         .select(col("id").cast("long"), col("label")).collect()

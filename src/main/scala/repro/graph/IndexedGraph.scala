@@ -56,17 +56,27 @@ object IndexedGraph {
     fromArrays(parts.flatMap(_._1), parts.flatMap(_._2), labelIds)
   }
 
-  /** The index of the edges `src(e) → dst(e)`, whose vertices are their
-    * endpoints plus `extraIds`. Self-loops and repeated edges are dropped.
+  /** The index of the edges `src(e) → dst(e)` without self-loops and
+    * repeats. Its vertices are the endpoints of the edges kept plus
+    * `extraIds`, as after [[GraphOps.clean]]: a vertex that only a
+    * self-loop touches is not a vertex, unless it is an extra id.
     */
   def fromArrays(src: Array[Long], dst: Array[Long], extraIds: Array[Long]): IndexedGraph = {
-    val ids = Array.concat(src, dst, extraIds)
+    val (s, d) = (new Array[Long](src.length), new Array[Long](src.length))
+    var m = 0 // s(0 until m), d(0 until m) are the edges kept so far
+    var e = 0
+    while (e < src.length) {
+      if (src(e) != dst(e)) { s(m) = src(e); d(m) = dst(e); m += 1 }
+      e += 1
+    }
+    val (keptSrc, keptDst) = (s.take(m), d.take(m))
+    val ids = Array.concat(keptSrc, keptDst, extraIds)
     java.util.Arrays.sort(ids)
     var n = 0 // ids(0 until n) are the distinct ids seen so far, compacted in place
     for (v <- ids if n == 0 || ids(n - 1) != v) { ids(n) = v; n += 1 }
     val sorted = ids.take(n)
-    val from = src.map(java.util.Arrays.binarySearch(sorted, _))
-    val to = dst.map(java.util.Arrays.binarySearch(sorted, _))
+    val from = keptSrc.map(java.util.Arrays.binarySearch(sorted, _))
+    val to = keptDst.map(java.util.Arrays.binarySearch(sorted, _))
     new IndexedGraph(sorted, csr(n, from, to), csr(n, to, from))
   }
 
@@ -92,9 +102,9 @@ object IndexedGraph {
     dist
   }
 
-  /** The rows of the edges `from(e) → to(e)`, each row sorted, so every
-    * pass over a row meets its neighbours in the same order, and without
-    * the row's own vertex or repeats.
+  /** The rows of the edges `from(e) → to(e)`, none a self-loop, each row
+    * sorted, so every pass over a row meets its neighbours in the same
+    * order, and without repeats.
     */
   private def csr(n: Int, from: Array[Int], to: Array[Int]): Csr = {
     val offsets = new Array[Int](n + 1)
@@ -108,7 +118,7 @@ object IndexedGraph {
       val (lo, hi) = (offsets(v), offsets(v + 1))
       java.util.Arrays.sort(nbrs, lo, hi)
       offsets(v) = m
-      for (j <- lo until hi if nbrs(j) != v && (m == offsets(v) || nbrs(m - 1) != nbrs(j))) {
+      for (j <- lo until hi if m == offsets(v) || nbrs(m - 1) != nbrs(j)) {
         nbrs(m) = nbrs(j); m += 1
       }
     }

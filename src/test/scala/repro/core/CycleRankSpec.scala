@@ -1,8 +1,10 @@
 package repro.core
 
+import java.lang.management.ManagementFactory
 import org.apache.spark.sql.functions.{col, min}
 import repro.{Oracle, SparkSpec}
 import repro.data.SyntheticGraphs
+import repro.graph.IndexedGraph
 import repro.platform.{AlgorithmRegistry, Datastore, Scheduler, Task, TaskState}
 
 /** CycleRank: closed-form cases, the unpruned brute-force reference, the
@@ -219,6 +221,18 @@ class CycleRankSpec extends SparkSpec with GraphTestKit {
       val s = scoresMap(store.readResult(task.id).get)
       assert(s.size == 5000 && s.values.forall(_ == 1.0))
     } finally sched.shutdown()
+  }
+
+  test("a 5 000-vertex ring query at K = n allocates counts only for the cycle length that occurs") {
+    // Its one cycle has length 5 000: a count array of K + 1 longs per
+    // vertex on it would take 5 000 × 5 001 longs (200 MB).
+    val ix = IndexedGraph.fromArrays(ring.map(_._1).toArray, ring.map(_._2).toArray, Array.empty[Long])
+    val mx = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    val before = mx.getCurrentThreadAllocatedBytes
+    val s = CycleRank.scores(ix, 0L, CycleRank.Config(5000, Scoring.Constant), CycleRank.MaxKernelSteps)
+    val bytes = mx.getCurrentThreadAllocatedBytes - before
+    assert(s.size == 5000 && s.values.forall(_ == 1.0))
+    assert(bytes < 10_000_000L, s"the query allocated $bytes bytes")
   }
 
   test("distributed and local CycleRank agree at bench scale") {

@@ -63,6 +63,26 @@ object Reference {
     scores.toMap
   }
 
+  /** Brute-force 2DRank (Zhirov et al.) of the nodes that `pr` and `chei`
+    * score: K and K* are the 1-based positions when sorting by
+    * (−score, id), and the 2DRank positions come from sorting the nodes by
+    * (max(K, K*), side, inner, id), where side 0 is the vertical edge
+    * K = L with inner K*, and side 1 the horizontal edge with inner K.
+    * Returns id → (2DRank position, K, K*).
+    */
+  def twoDRank(pr: Map[Long, Double], chei: Map[Long, Double]): Map[Long, (Int, Int, Int)] = {
+    def positions(s: Map[Long, Double]): Map[Long, Int] =
+      s.toSeq.sortBy { case (id, x) => (-x, id) }.map(_._1).zipWithIndex
+        .map { case (id, i) => id -> (i + 1) }.toMap
+    val (k, kstar) = (positions(pr), positions(chei))
+    val swept = k.keys.toSeq.sortBy { id =>
+      val l = math.max(k(id), kstar(id))
+      val side = if (k(id) == l) 0 else 1
+      (l, side, if (side == 0) kstar(id) else k(id), id)
+    }
+    swept.zipWithIndex.map { case (id, i) => id -> ((i + 1, k(id), kstar(id))) }.toMap
+  }
+
   /** Deterministic random simple digraph on vertices 0..n-1 with ~m edges. */
   def randomGraph(n: Int, m: Int, seed: Long): Seq[(Long, Long)] = {
     val rnd = new Random(seed)

@@ -27,18 +27,19 @@ class ScoringRankingSpec extends SparkSpec with GraphTestKit {
     intercept[IllegalArgumentException](Scoring.byName("nope"))
   }
 
-  test("withRank assigns 1-based dense positions by descending score") {
-    import spark.implicits._
-    val df = Seq((1L, 0.1), (2L, 0.9), (3L, 0.5)).toDF("id", "score")
-    val r = Ranking.withRank(df).collect().map(x => x.getLong(0) -> x.getInt(2)).toMap
-    assert(r == Map(2L -> 1, 3L -> 2, 1L -> 3))
+  /** The rank of each id under `Ranking.order`, from 1, the scores given by id. */
+  private def ranked(scores: Map[Long, Double]): Map[Long, Int] = {
+    val ids = scores.keys.toArray.sorted
+    Ranking.order(ids.map(scores)).zipWithIndex.map { case (v, p) => ids(v) -> (p + 1) }.toMap
   }
 
-  test("withRank breaks ties by ascending id") {
-    import spark.implicits._
-    val df = Seq((9L, 0.5), (3L, 0.5), (5L, 0.5)).toDF("id", "score")
-    val r = Ranking.withRank(df).collect().map(x => x.getLong(0) -> x.getInt(2)).toMap
-    assert(r == Map(3L -> 1, 5L -> 2, 9L -> 3))
+  test("Ranking.order assigns 1-based dense positions by descending score") {
+    assert(ranked(Map(1L -> 0.1, 2L -> 0.9, 3L -> 0.5)) == Map(2L -> 1, 3L -> 2, 1L -> 3))
+  }
+
+  test("Ranking.order breaks ties by ascending id") {
+    assert(ranked(Map(9L -> 0.5, 3L -> 0.5, 5L -> 0.5)) == Map(3L -> 1, 5L -> 2, 9L -> 3))
+    assert(ranked(Map(9L -> 0.5, 3L -> 0.2, 5L -> 0.5, 1L -> 0.2)) == Map(5L -> 1, 9L -> 2, 1L -> 3, 3L -> 4))
   }
 
   test("topK returns k best pairs in order") {

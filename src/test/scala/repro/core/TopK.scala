@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Top-k comparisons of two score frames, for the shape tests. Ties are
-  * broken by ascending id, as in [[Ranking.withRank]].
+  * broken by ascending id, as in [[Ranking]].
   */
 object TopK {
 

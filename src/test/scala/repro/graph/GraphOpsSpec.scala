@@ -150,6 +150,15 @@ class GraphOpsSpec extends SparkSpec with GraphTestKit {
     assert(ix.out.nbrs.slice(ix.out.offsets(2), ix.out.offsets(3)).toSeq == Seq(0, 3))
   }
 
+  test("fromArrays has the vertex set of clean then build: a vertex only a self-loop touches is dropped") {
+    val ix = IndexedGraph.fromArrays(Array(1L, 5L, 1L), Array(2L, 5L, 2L), Array.empty[Long])
+    assert(ix.ids.toSeq == Seq(1L, 2L) && ix.numEdges == 1)
+    assert(ix.ids.toSeq == graphOf((1L, 2L), (5L, 5L), (1L, 2L)).index.ids.toSeq)
+    // An extra id (a label, or CycleRank's reference) stays a vertex, looped or not.
+    val withExtra = IndexedGraph.fromArrays(Array(1L, 5L), Array(2L, 5L), Array(5L, 9L))
+    assert(withExtra.ids.toSeq == Seq(1L, 2L, 5L, 9L) && withExtra.numEdges == 1)
+  }
+
   test("after the first engine call, vertices, outDegrees, numVertices and numEdges start no Spark job") {
     val g = graphOf((1L, 2L), (2L, 3L), (3L, 1L), (1L, 3L))
     g.index

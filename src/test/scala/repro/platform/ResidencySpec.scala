@@ -27,10 +27,14 @@ class ResidencySpec extends SparkSpec with GraphTestKit {
     val first = SparkWork.of(spark)(exec.execute(Task("d", "pagerank", Map("maxIter" -> "10"))))
     assert(first.jobs > 0, "building the index collects the cleaned edges")
     val ref = edges.head._1.toString
+    // Every registry algorithm: 2DRank combines PageRank and CheiRank.
     for (task <- Seq(
         Task("d", "pagerank", Map("maxIter" -> "10")),
         Task("d", "personalized-pagerank", Map("ref" -> ref)),
         Task("d", "cheirank", Map("maxIter" -> "10")),
+        Task("d", "personalized-cheirank", Map("ref" -> ref)),
+        Task("d", "2drank", Map("maxIter" -> "10")),
+        Task("d", "personalized-2drank", Map("ref" -> ref)),
         Task("d", "cyclerank", Map("ref" -> ref, "k" -> "3")),
         Task("d", "cyclerank", Map("ref" -> ref, "k" -> "5")))) {
       val work = SparkWork.of(spark)(exec.execute(task))
