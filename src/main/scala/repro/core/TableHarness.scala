@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import repro.graph.DirectedGraph
 
 /** Renders the paper-style "top-k per algorithm" tables (Tables I–III)
-  * from score frames, resolving node ids to labels on the driver.
+  * from score frames, resolving node ids to labels with the graph's index.
   */
 object TableHarness {
 
@@ -17,8 +17,8 @@ object TableHarness {
 
   /** Top-k labels of a `(id, score)` frame on graph `g`, by score
     * descending then id ascending ([[Ranking]]); an id with no label stands
-    * for itself. The frame is collected and ranked on the driver, and only
-    * the top k ids' labels are read.
+    * for itself. The frame is collected and ranked on the driver, and the
+    * labels are read from the graph's index.
     *
     * @param excludeRef drop this node from the list first (Table II/III
     *                   convention; Table I keeps the reference as row 1)
@@ -29,12 +29,8 @@ object TableHarness {
       .map(r => (r.getLong(0), r.getDouble(1)))
       .filterNot { case (id, _) => excludeRef.contains(id) }
       .sortBy(_._1) // so that Ranking's ties by position are ties by id
-    val top = Ranking.order(rows.map(_._2)).take(k).map(rows(_)._1)
-    val labels = g.labels.fold(Map.empty[Long, String])(
-      _.where(col("id").isin(top.toIndexedSeq: _*))
-        .select(col("id").cast("long"), col("label")).collect()
-        .map(r => r.getLong(0) -> r.getString(1)).toMap)
-    top.toSeq.map(id => labels.getOrElse(id, id.toString)).padTo(k, "–")
+    val ix = g.index
+    Ranking.order(rows.map(_._2)).take(k).toSeq.map(i => ix.labelOf(rows(i)._1)).padTo(k, "–")
   }
 
   /** Fixed-width ASCII rendering of a table, row per rank. */

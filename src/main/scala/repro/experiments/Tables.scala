@@ -13,13 +13,12 @@ import repro.core.TableHarness.Column
   */
 object Tables {
 
-  /** Resolve a label to its node id in a labelled graph. */
+  /** Resolve a label to the id of the one node carrying it in a labelled
+    * graph, read from the graph's index.
+    */
   def idOf(g: DirectedGraph, label: String): Long = {
-    import org.apache.spark.sql.functions.col
-    val l = g.labels.getOrElse(throw new IllegalArgumentException("graph has no labels"))
-    val rows = l.where(col("label") === label).select(col("id")).collect()
-    require(rows.nonEmpty, s"label '$label' not found")
-    rows.head.getLong(0)
+    require(g.labels.isDefined, "graph has no labels")
+    g.index.idOf(label)
   }
 
   /** Table I: PR (α=0.85), CR (K=3, σ=e⁻ⁿ) and PPR (α=0.3) on the

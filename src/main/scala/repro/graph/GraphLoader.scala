@@ -5,7 +5,6 @@ import scala.collection.mutable
 import scala.io.{Codec, Source}
 import scala.util.Using
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions.col
 
 /** Loaders for the demo's three upload formats (paper §IV-B): edgelist CSV,
   * Pajek, and the authors' ASD format. Each reads its file once on the
@@ -125,7 +124,7 @@ object GraphLoader {
         reject(what, s"has an edge endpoint outside [0, $n)", no, line)
       (src, dst)
     }
-    val vertices = spark.range(n).select(col("id"), col("id").cast("string").as("label"))
+    val vertices = (0L until n).map(id => (id, id.toString)).toDF("id", "label")
     GraphOps.clean(DirectedGraph(edges.toDF("src", "dst"), Some(vertices)))
   }
 }

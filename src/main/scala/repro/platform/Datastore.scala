@@ -20,13 +20,14 @@ import repro.graph.{DirectedGraph, GraphLoader, GraphOps}
   *
   * A loaded dataset stays resident: [[loadDataset]] returns the same
   * [[DirectedGraph]] for a name until the name is stored again or the graph
-  * is evicted, so the index its first query builds serves every later
-  * query. The resident graphs hold at most `residentEdgeCap` edges in
-  * total (counted as their files' edge lines); a load past the cap drops
-  * the least recently loaded graphs. A graph over the cap on its own is
-  * still served, and dropped by the next load. A dropped graph and its
-  * index are plain driver objects: a query still holding one finishes
-  * with it, and the garbage collector frees it after that.
+  * is evicted, so the index its first query builds (the CSR rows plus one
+  * label reference per vertex) serves every later query. The resident
+  * graphs hold at most `residentEdgeCap` edges in total (counted as their
+  * files' edge lines); a load past the cap drops the least recently loaded
+  * graphs. A graph over the cap on its own is still served, and dropped by
+  * the next load. A dropped graph and its index are plain driver objects: a
+  * query still holding one finishes with it, and the garbage collector
+  * frees it after that.
   */
 final class Datastore private[platform] (val root: Path, spark: SparkSession, residentEdgeCap: Long) {
   private val datasetsDir = Files.createDirectories(root.resolve("datasets"))
@@ -54,22 +55,25 @@ final class Datastore private[platform] (val root: Path, spark: SparkSession, re
     putDataset(name, loaderFor(ext)(spark, sourceFile.toString))
   }
 
-  /** Register a graph: its edges go to `<name>.csv`, its labels (if any)
-    * to `<name>.labels`. Both are collected before anything is written;
-    * labels stored under `name` before are deleted when `g` has none. The
-    * graph resident under `name`, if any, is dropped; the next load reads
-    * the new files.
+  /** Register a graph: its edges go to `<name>.csv` and its labels (if it
+    * has a labels frame) to `<name>.labels`, both read from `g`'s index in
+    * id order, so the stored bytes depend only on the graph. Both files'
+    * lines are made before anything is written; labels stored under `name`
+    * before are deleted when `g` has none. The graph resident under `name`,
+    * if any, is dropped; the next load reads the new files.
     */
   def putDataset(name: String, g: DirectedGraph): Unit = {
     checkName(name)
-    val rows = g.edges.select(col("src"), col("dst")).collect()
-      .map(r => s"${r.getLong(0)},${r.getLong(1)}")
-    val lab = g.labels.map(_.collect().map(r => s"${r.getLong(0)}\t${r.getString(1)}"))
+    val ix = g.index
+    val rows = ix.ids.indices.flatMap(v =>
+      (ix.out.offsets(v) until ix.out.offsets(v + 1)).map(j => s"${ix.ids(v)},${ix.ids(ix.out.nbrs(j))}"))
+    val lab = g.labels.map(_ =>
+      ix.ids.indices.collect { case v if ix.labels(v) != null => s"${ix.ids(v)}\t${ix.labels(v)}" })
     synchronized {
-      Files.write(datasetsDir.resolve(s"$name.csv"), rows.toSeq.asJava)
+      Files.write(datasetsDir.resolve(s"$name.csv"), rows.asJava)
       val labelFile = datasetsDir.resolve(s"$name.labels")
       lab match {
-        case Some(l) => Files.write(labelFile, l.toSeq.asJava)
+        case Some(l) => Files.write(labelFile, l.asJava)
         case None    => Files.deleteIfExists(labelFile)
       }
       Option(resident.remove(name)).foreach { case (_, m) => residentEdges -= m }
@@ -180,7 +184,8 @@ final class Datastore private[platform] (val root: Path, spark: SparkSession, re
 object Datastore {
   /** The most edges the resident graphs of one datastore hold in total. A
     * resident edge costs its row in the loaded in-memory relation plus one
-    * int per direction in the index's CSR, on the driver.
+    * int per direction in the index's CSR, on the driver; a resident graph
+    * also holds one label reference per vertex in its index.
     */
   val MaxResidentEdges: Long = 10_000_000L
 

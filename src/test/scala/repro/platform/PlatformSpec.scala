@@ -119,6 +119,17 @@ class PlatformSpec extends SparkSpec with GraphTestKit {
     val labels = loaded.labels.get.collect().map(r => r.getLong(0) -> r.getString(1)).toMap
     assert(labels == Map(0L -> "a", 1L -> "b"))
     assert(loaded.edges.count() == 2)
+
+    // A raw graph, not cleaned: a duplicate edge, a self-loop, a vertex (4)
+    // that only a self-loop touches, and an isolated labelled vertex (7).
+    import spark.implicits._
+    val raw = DirectedGraph(Seq((1L, 2L), (1L, 2L), (2L, 1L), (2L, 2L), (4L, 4L)).toDF("src", "dst"),
+      Some(Seq((1L, "one"), (2L, "two"), (7L, "seven")).toDF("id", "label")))
+    store.putDataset("raw", raw)
+    val rawLoaded = store.loadDataset("raw")
+    assert(edgeSet(rawLoaded) == Set((1L, 2L), (2L, 1L)))
+    assert(rawLoaded.vertices.collect().map(_.getLong(0)).toSet == Set(1L, 2L, 7L))
+    assert(labelMap(rawLoaded) == Map(1L -> "one", 2L -> "two", 7L -> "seven"))
   }
 
   test("datastore rejects unknown dataset names") {
