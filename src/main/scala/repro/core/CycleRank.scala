@@ -76,7 +76,9 @@ object CycleRank {
     // Every vertex on a cycle through r is in its backward ball, and no
     // simple cycle is longer than the ball, so the arrays and the scores
     // are sized by min(K, ball size): a larger K changes neither.
-    val ball = bdist.count(_ < Int.MaxValue)
+    var ball = 0
+    var b = 0
+    while (b < bdist.length) { if (bdist(b) < Int.MaxValue) ball += 1; b += 1 }
     val k = math.min(cfg.k, ball)
 
     // Cycles per (vertex, length) are counted exactly; the scores are
@@ -84,10 +86,12 @@ object CycleRank {
     // on edge order and exact ties stay exact. Only the lengths that occur
     // get counts: counts(len)(pos(u) - 1) counts u's cycles of length len,
     // where pos(u) numbers the vertices from 1 as they are first found on
-    // a cycle (0: not yet). A counts row grows to twice the vertices found
-    // when it is too short for them, and never beyond the ball.
+    // a cycle (0: not yet), and order(pos(u) - 1) = u. A counts row grows to
+    // twice the vertices found when it is too short for them, and never
+    // beyond the ball.
     val counts = new Array[Array[Long]](k + 1)
     val pos = new Array[Int](ix.numVertices)
+    val order = new Array[Int](ball)
     var found = 0
     // path(0 until len) is the current path, path(0) = r; next(d) is the
     // position in out.nbrs of path(d)'s next successor to try.
@@ -108,7 +112,7 @@ object CycleRank {
           if (len >= 2) {
             var p = 0
             while (p < len) {
-              if (pos(path(p)) == 0) { found += 1; pos(path(p)) = found }
+              if (pos(path(p)) == 0) { order(found) = path(p); found += 1; pos(path(p)) = found }
               p += 1
             }
             val row = counts(len)
@@ -133,15 +137,17 @@ object CycleRank {
     val lengths = Array.range(2, k + 1).filter(counts(_) != null)
     val sigma = lengths.map(cfg.scoring.sigma)
     val result = Map.newBuilder[Long, Double]
-    for (u <- pos.indices if pos(u) > 0) {
+    var q = 0
+    while (q < found) {
       var score = 0.0
       var i = 0
       while (i < lengths.length) {
         val row = counts(lengths(i))
-        if (pos(u) <= row.length) score += sigma(i) * row(pos(u) - 1)
+        if (q < row.length) score += sigma(i) * row(q)
         i += 1
       }
-      if (score > 0) result += ix.ids(u) -> score
+      if (score > 0) result += ix.ids(order(q)) -> score
+      q += 1
     }
     result.result()
   }

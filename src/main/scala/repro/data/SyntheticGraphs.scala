@@ -7,7 +7,8 @@ import repro.graph.{DirectedGraph, GraphOps}
 
 /** Scale-parameterised synthetic directed graphs standing in for the
   * demo's dataset families (DESIGN.md, substitutions). All generators are
-  * deterministic in `(sf, seed)` and funnel through [[GraphOps.clean]].
+  * deterministic in `(sf, seed)`, whatever the session's parallelism, and
+  * funnel through [[GraphOps.clean]].
   *
   * Structure shared by all three families:
   *  - a zipf-skewed "popularity" edge pool (heavy-tailed in-degree; the
@@ -19,6 +20,13 @@ import repro.graph.{DirectedGraph, GraphOps}
   */
 object SyntheticGraphs {
 
+  /** The partition count of every generated range. `rand(seed)` seeds each
+    * partition by its index, so the graphs depend on it. 4 is the
+    * parallelism at which the recorded edge-set checksum and the
+    * benchmark's graphs were made (local[*] on 4 cores).
+    */
+  private val Partitions = 4
+
   /** Number of vertices at a given scale factor (sf=0.1 → 20 000). */
   def nVertices(sf: Double): Long = math.max(500L, (200000 * sf).toLong)
 
@@ -26,7 +34,7 @@ object SyntheticGraphs {
                                   fanout: Int, reciprocity: Double, seed: Long): DataFrame = {
     // vertex i links to i+1..i+fanout inside its block; a reciprocated
     // copy of each link is added with probability `reciprocity`.
-    val base = spark.range(n).select(col("id").as("src"))
+    val base = spark.range(0, n, 1, Partitions).select(col("id").as("src"))
     val offsets = (1 to fanout).map(lit(_))
     val fwd = base.select(col("src"), explode(array(offsets: _*)).as("off"))
       .withColumn("dst", col("src") + col("off"))
@@ -44,7 +52,7 @@ object SyntheticGraphs {
                              alpha: Double = 1.1, seed: Long = 3): DataFrame = {
     // Inverse-CDF draw over rank weights 1/k^alpha; good enough for skew.
     val norm = (1L to math.min(nKeys, 10000L)).map(k => 1.0 / math.pow(k.toDouble, alpha)).sum
-    spark.range(rows).select(
+    spark.range(0, rows, 1, Partitions).select(
       least(lit(nKeys),
             greatest(lit(1L),
               pow(lit(1.0) / (rand(seed) * norm + 1e-9), lit(1.0 / alpha)).cast(LongType)

@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** A directed graph held as DataFrames, plus the driver-side CSR [[index]]
@@ -16,7 +16,7 @@ final case class DirectedGraph(edges: DataFrame, labels: Option[DataFrame] = Non
 
   // How the index is made: built from this graph, or (for a transpose)
   // taken from its source graph's index with the directions swapped.
-  private var indexSource: () => IndexedGraph = () => IndexedGraph.build(this)
+  private var indexSource: () => IndexedGraph = () => DirectedGraph.build(this)
   private var built: Option[IndexedGraph] = None
 
   /** The graph's CSR index, built by the first call on this instance and
@@ -52,6 +52,20 @@ final case class DirectedGraph(edges: DataFrame, labels: Option[DataFrame] = Non
 }
 
 object DirectedGraph {
+
+  /** Builds `g`'s index from one collect of its edges plus one of its
+    * `(id, label)` rows: the only read of a labels frame.
+    */
+  private def build(g: DirectedGraph): IndexedGraph = {
+    val parts = g.edges.select(col("src"), col("dst")).rdd.mapPartitions { rows =>
+      val (src, dst) = (Array.newBuilder[Long], Array.newBuilder[Long])
+      rows.foreach { r => src += r.getLong(0); dst += r.getLong(1) }
+      Iterator.single((src.result(), dst.result()))
+    }.collect()
+    val labels = g.labels.fold(Array.empty[Row])(_.select(col("id").cast("long"), col("label")).collect())
+    IndexedGraph.fromArrays(parts.flatMap(_._1), parts.flatMap(_._2),
+      labels.map(_.getLong(0)), labels.map(_.getString(1)))
+  }
 
   /** Build a graph from an in-memory edge list — the main test constructor. */
   def fromEdges(spark: SparkSession, es: Seq[(Long, Long)]): DirectedGraph = {

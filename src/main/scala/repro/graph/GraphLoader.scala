@@ -4,13 +4,14 @@ import java.nio.charset.CodingErrorAction
 import scala.collection.mutable
 import scala.io.{Codec, Source}
 import scala.util.Using
-import org.apache.spark.sql.SparkSession
 
-/** Loaders for the demo's three upload formats (paper §IV-B): edgelist CSV,
+/** Parsers for the demo's three upload formats (paper §IV-B): edgelist CSV,
   * Pajek, and the authors' ASD format. Each reads its file once on the
-  * driver, so a load starts no Spark job. Ids parse as Spark's `try_cast` to
-  * long: `+5` is 5; `1.5`, `0x10` and `x` are rejected. A rejection names
-  * the file, the 1-based line number and the line.
+  * driver and returns the [[IndexedGraph]] of what it read, built by
+  * [[IndexedGraph.fromArrays]], which drops self-loops and repeated edges;
+  * no loader touches Spark. Ids parse as Spark's `try_cast` to long: `+5`
+  * is 5; `1.5`, `0x10` and `x` are rejected. A rejection names the file,
+  * the 1-based line number and the line.
   */
 object GraphLoader {
 
@@ -26,6 +27,12 @@ object GraphLoader {
   private def reject(what: String, problem: String, lineNo: Int, line: String): Nothing =
     throw new IllegalArgumentException(s"$what $problem at line $lineNo: '$line'")
 
+  /** The index of `edges` plus the vertices `ids`, where `ids(j)` is
+    * labelled `labels(j)`.
+    */
+  private def index(edges: Seq[(Long, Long)], ids: Array[Long], labels: Array[String]): IndexedGraph =
+    IndexedGraph.fromArrays(edges.map(_._1).toArray, edges.map(_._2).toArray, ids, labels)
+
   /** `(src, dst)` from the first two fields of `line`, split on `sep`. */
   private def endpoints(what: String, lineNo: Int, line: String, sep: String): (Long, Long) =
     line.split(sep).take(2).flatMap(_.toLongOption) match {
@@ -37,13 +44,10 @@ object GraphLoader {
     * lines are ignored; the separator may be a comma, semicolon, tab or
     * whitespace (Gephi's CSV dialect family).
     */
-  def edgeListCsv(spark: SparkSession, path: String): DirectedGraph = {
-    import spark.implicits._
-    GraphOps.clean(DirectedGraph(edgeList(path).toDF("src", "dst")))
-  }
+  def edgeListCsv(path: String): IndexedGraph = index(edgeList(path), Array.empty, Array.empty)
 
   /** The `(src, dst)` lines of an edgelist CSV, as [[edgeListCsv]] reads
-    * them, before cleaning.
+    * them, with their self-loops and repeats.
     */
   private[repro] def edgeList(path: String): Vector[(Long, Long)] =
     numberedLines(path).collect {
@@ -59,8 +63,7 @@ object GraphLoader {
     * and may repeat; `%` lines are comments. A vertex or arc id outside
     * 1..N is rejected.
     */
-  def pajek(spark: SparkSession, path: String): DirectedGraph = {
-    import spark.implicits._
+  def pajek(path: String): IndexedGraph = {
     val what = s"pajek $path"
     val edges = mutable.ArrayBuffer.empty[(Long, Long)]
     val labels = mutable.LongMap.empty[(Int, String)] // id -> (line number, label)
@@ -97,16 +100,15 @@ object GraphLoader {
       }
     }
     require(n >= 0, s"$what: missing *Vertices")
-    val labelRows = (1L to n).map(id => (id, labels.get(id).fold(id.toString)(_._2))).toDF("id", "label")
-    GraphOps.clean(DirectedGraph(edges.toSeq.toDF("src", "dst"), Some(labelRows)))
+    val ids = (1L to n).toArray
+    index(edges.toSeq, ids, ids.map(id => labels.get(id).fold(id.toString)(_._2)))
   }
 
   /** ASD (authors' format, spec assumed per DESIGN.md): a header `N M`, then
     * `M` lines `src dst` with ids in `[0, N)`. The graph has all `N` vertices;
     * isolated ones are id-labelled.
     */
-  def asd(spark: SparkSession, path: String): DirectedGraph = {
-    import spark.implicits._
+  def asd(path: String): IndexedGraph = {
     val what = s"ASD $path"
     val lines = numberedLines(path)
     require(lines.nonEmpty, s"$what has no header line 'N M'")
@@ -124,7 +126,7 @@ object GraphLoader {
         reject(what, s"has an edge endpoint outside [0, $n)", no, line)
       (src, dst)
     }
-    val vertices = (0L until n).map(id => (id, id.toString)).toDF("id", "label")
-    GraphOps.clean(DirectedGraph(edges.toDF("src", "dst"), Some(vertices)))
+    val ids = (0L until n).toArray
+    index(edges, ids, ids.map(_.toString))
   }
 }

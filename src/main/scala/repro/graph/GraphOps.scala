@@ -11,9 +11,11 @@ import org.apache.spark.sql.functions._
 object GraphOps {
 
   /** Canonical cleanup: cast endpoints to long, drop self-loops and
-    * duplicate edges. Every loader and generator funnels through here so
-    * the algorithms can assume a simple directed graph (as the CycleRank
-    * paper does — length-1 cycles are excluded by definition).
+    * duplicate edges. The generators, `DirectedGraph.fromEdges` and
+    * `fromLabeledEdges`, and the datastore's dataset reader funnel through
+    * here (the loaders' [[IndexedGraph.fromArrays]] drops the same edges)
+    * so the algorithms can assume a simple directed graph (as the
+    * CycleRank paper does — length-1 cycles are excluded by definition).
     */
   def clean(g: DirectedGraph): DirectedGraph = {
     val e = g.edges

@@ -1,14 +1,13 @@
 package repro.graph
 
-import org.apache.spark.sql.Row
-import org.apache.spark.sql.functions.col
-
-/** The compressed sparse row (CSR) index of a [[DirectedGraph]], on the
-  * driver: built once per graph by its first engine call
-  * ([[DirectedGraph.index]]) and read with plain array loops by every
-  * engine after that: PageRank's sweeps, CheiRank's (on the swapped
-  * directions), and CycleRank's backward BFS and DFS. No engine call on an
-  * indexed graph starts a Spark job.
+/** The compressed sparse row (CSR) index of a graph, on the driver, built
+  * from edge arrays by [[IndexedGraph.fromArrays]]. A [[DirectedGraph]]
+  * builds its index once, on its first engine call ([[DirectedGraph.index]]),
+  * and every engine after that reads it with plain array loops: PageRank's
+  * sweeps, CheiRank's (on the swapped directions), and CycleRank's backward
+  * BFS and DFS. No engine call on an indexed graph starts a Spark job. The
+  * [[GraphLoader]] parsers return an index, and the datastore stores one
+  * as files.
   *
   * A vertex's index is its position in `ids`: the sorted, distinct ids of
   * the edges' endpoints and of the labels (labelled isolated vertices are
@@ -61,19 +60,6 @@ object IndexedGraph {
     */
   final class Csr private[IndexedGraph] (val offsets: Array[Int], val nbrs: Array[Int]) {
     def degree(v: Int): Int = offsets(v + 1) - offsets(v)
-  }
-
-  /** Builds `g`'s index from one collect of its edges plus one of its
-    * `(id, label)` rows: the only read of a labels frame.
-    */
-  def build(g: DirectedGraph): IndexedGraph = {
-    val parts = g.edges.select(col("src"), col("dst")).rdd.mapPartitions { rows =>
-      val (src, dst) = (Array.newBuilder[Long], Array.newBuilder[Long])
-      rows.foreach { r => src += r.getLong(0); dst += r.getLong(1) }
-      Iterator.single((src.result(), dst.result()))
-    }.collect()
-    val labels = g.labels.fold(Array.empty[Row])(_.select(col("id").cast("long"), col("label")).collect())
-    fromArrays(parts.flatMap(_._1), parts.flatMap(_._2), labels.map(_.getLong(0)), labels.map(_.getString(1)))
   }
 
   /** The index of the edges `src(e) → dst(e)` without self-loops and

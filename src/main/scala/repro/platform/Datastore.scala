@@ -5,7 +5,7 @@ import scala.jdk.CollectionConverters._
 import scala.util.Using
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.graph.{DirectedGraph, GraphLoader, GraphOps}
+import repro.graph.{DirectedGraph, GraphLoader, GraphOps, IndexedGraph}
 
 /** Filesystem-backed datastore (paper §III): stores datasets, and the
   * results and logs produced by executions.
@@ -43,16 +43,18 @@ final class Datastore private[platform] (val root: Path, spark: SparkSession, re
   private val resident = new java.util.LinkedHashMap[String, (DirectedGraph, Long)](16, 0.75f, true)
   private var residentEdges = 0L
 
-  /** Register ("upload") a dataset file: it is parsed once with the loader
-    * of its extension (the demo's supported upload formats; any other
-    * extension is rejected) and stored as [[putDataset]] stores a graph. A
-    * file that does not parse is rejected naming it, and whatever was
-    * stored under `name` stays as it was.
+  /** Register ("upload") a dataset file: the loader of its extension (the
+    * demo's supported upload formats; any other extension is rejected)
+    * parses it into an index on the driver, and the index is stored as
+    * [[putDataset]] stores a graph's, with no Spark job. A Pajek or ASD
+    * file declares its vertices' labels, so it gets a labels file; an
+    * edgelist CSV does not. A file that does not parse is rejected naming
+    * it, and whatever was stored under `name` stays as it was.
     */
   def uploadDataset(name: String, sourceFile: Path): Unit = {
     checkName(name)
     val ext = extensionOf(sourceFile.getFileName.toString)
-    putDataset(name, loaderFor(ext)(spark, sourceFile.toString))
+    writeDataset(name, loaderFor(ext)(sourceFile.toString), labelled = ext != "csv")
   }
 
   /** Register a graph: its edges go to `<name>.csv` and its labels (if it
@@ -64,10 +66,16 @@ final class Datastore private[platform] (val root: Path, spark: SparkSession, re
     */
   def putDataset(name: String, g: DirectedGraph): Unit = {
     checkName(name)
-    val ix = g.index
+    writeDataset(name, g.index, labelled = g.labels.isDefined)
+  }
+
+  /** Stores `ix` under `name` as [[putDataset]] stores a graph's index,
+    * with a labels file when `labelled`.
+    */
+  private def writeDataset(name: String, ix: IndexedGraph, labelled: Boolean): Unit = {
     val rows = ix.ids.indices.flatMap(v =>
       (ix.out.offsets(v) until ix.out.offsets(v + 1)).map(j => s"${ix.ids(v)},${ix.ids(ix.out.nbrs(j))}"))
-    val lab = g.labels.map(_ =>
+    val lab = Option.when(labelled)(
       ix.ids.indices.collect { case v if ix.labels(v) != null => s"${ix.ids(v)}\t${ix.labels(v)}" })
     synchronized {
       Files.write(datasetsDir.resolve(s"$name.csv"), rows.asJava)
@@ -117,10 +125,15 @@ final class Datastore private[platform] (val root: Path, spark: SparkSession, re
     require(Files.exists(file), s"dataset '$name' not found")
     val edges = GraphLoader.edgeList(file.toString)
     val labelFile = datasetsDir.resolve(s"$name.labels")
+    // A label is everything after the line's first tab, verbatim.
     val labels = Option.when(Files.exists(labelFile)) {
-      Files.readAllLines(labelFile).asScala.toSeq
-        .map(_.split("\t", 2)).map(a => (a(0).toLong, a(1)))
-        .toDF("id", "label")
+      Files.readAllLines(labelFile).asScala.toSeq.zipWithIndex.map { case (line, i) =>
+        line.split("\t", 2) match {
+          case Array(id, label) if id.toLongOption.isDefined => (id.toLong, label)
+          case _ => throw new IllegalArgumentException(
+            s"labels $labelFile has a line that is not 'id<TAB>label' at line ${i + 1}: '$line'")
+        }
+      }.toDF("id", "label")
     }
     (GraphOps.clean(DirectedGraph(edges.toDF("src", "dst"), labels)), edges.size.toLong)
   }
@@ -162,7 +175,7 @@ final class Datastore private[platform] (val root: Path, spark: SparkSession, re
     if (Files.exists(f)) Files.readAllLines(f).asScala.toSeq else Seq.empty
   }
 
-  private def loaderFor(ext: String): (SparkSession, String) => DirectedGraph = ext match {
+  private def loaderFor(ext: String): String => IndexedGraph = ext match {
     case "csv" => GraphLoader.edgeListCsv
     case "net" => GraphLoader.pajek
     case "asd" => GraphLoader.asd

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.graph.DirectedGraph
+import repro.graph.{DirectedGraph, IndexedGraph}
 
 /** Shared helpers for test suites operating on small graphs. */
 trait GraphTestKit { self: SparkSpec =>
@@ -14,6 +14,15 @@ trait GraphTestKit { self: SparkSpec =>
 
   def graphOfSeq(es: Seq[(Long, Long)]): DirectedGraph =
     DirectedGraph.fromEdges(spark, es)
+
+  /** An index's edges as `(src, dst)` id pairs, read from its out-rows. */
+  def edgesOf(ix: IndexedGraph): Set[(Long, Long)] =
+    ix.ids.indices.flatMap(v => (ix.out.offsets(v) until ix.out.offsets(v + 1))
+      .map(j => (ix.ids(v), ix.ids(ix.out.nbrs(j))))).toSet
+
+  /** An index's labels by id, for the vertices that have one. */
+  def labelsOf(ix: IndexedGraph): Map[Long, String] =
+    ix.ids.indices.collect { case v if ix.labels(v) != null => ix.ids(v) -> ix.labels(v) }.toMap
 
   /** In-degree per vertex: `(id, indeg)`, zero-filled for sources. */
   def inDegrees(g: DirectedGraph): DataFrame = {

@@ -24,10 +24,21 @@ class SyntheticGraphsSpec extends SparkSpec with GraphTestKit {
   test("wikilinkLike at sf=0.01 keeps its edge count and edge-set checksum") {
     // Recorded before the zipf generator moved here from the removed
     // TPC-H-lite tables; the benchmark's cr-small graph is this one.
+    // It must not depend on the session's leaf parallelism, which is the
+    // core count under local[*].
     import org.apache.spark.sql.functions._
-    val r = SyntheticGraphs.wikilinkLike(spark, 0.01).edges
-      .agg(count(lit(1)), bit_xor(xxhash64(col("src"), col("dst")))).head()
-    assert((r.getLong(0), r.getLong(1)) == (11136L, 2580846679303264625L))
+    def checksum() = {
+      val r = SyntheticGraphs.wikilinkLike(spark, 0.01).edges
+        .agg(count(lit(1)), bit_xor(xxhash64(col("src"), col("dst")))).head()
+      (r.getLong(0), r.getLong(1))
+    }
+    assert(checksum() == (11136L, 2580846679303264625L))
+    val key = "spark.sql.leafNodeDefaultParallelism"
+    for (p <- Seq(2, 8)) {
+      spark.conf.set(key, p.toLong)
+      try assert(checksum() == (11136L, 2580846679303264625L), s"at $key=$p")
+      finally spark.conf.unset(key)
+    }
   }
 
   test("zipf keys are skewed toward small ranks") {

@@ -132,6 +132,26 @@ class PlatformSpec extends SparkSpec with GraphTestKit {
     assert(labelMap(rawLoaded) == Map(1L -> "one", 2L -> "two", 7L -> "seven"))
   }
 
+  test("a malformed stored labels line is rejected naming the file, the line number and the line") {
+    val dir = Files.createTempDirectory("store")
+    val datasets = Files.createDirectories(dir.resolve("datasets"))
+    val store = Datastore.at(dir.toString, spark)
+    for ((name, lines, bad) <- Seq(
+        ("notab", Seq("1\tone", "2two"), "line 2: '2two'"),
+        ("noid", Seq("x\tex"), "line 1: 'x\tex'"),
+        ("blank", Seq("1\tone", ""), "line 2: ''"))) {
+      Files.write(datasets.resolve(s"$name.csv"), Seq("1,2").asJava)
+      Files.write(datasets.resolve(s"$name.labels"), lines.asJava)
+      val e = intercept[IllegalArgumentException](store.loadDataset(name))
+      assert(e.getMessage.contains(datasets.resolve(s"$name.labels").toString) &&
+        e.getMessage.contains(bad), e.getMessage)
+    }
+    // A label is everything after the first tab, verbatim.
+    Files.write(datasets.resolve("ok.csv"), Seq("1,2").asJava)
+    Files.write(datasets.resolve("ok.labels"), Seq("1\t one\tand two ", "2\t").asJava)
+    assert(labelMap(store.loadDataset("ok")) == Map(1L -> " one\tand two ", 2L -> ""))
+  }
+
   test("datastore rejects unknown dataset names") {
     val store = Datastore.temp(spark)
     intercept[IllegalArgumentException](store.loadDataset("missing"))
@@ -257,13 +277,12 @@ class PlatformSpec extends SparkSpec with GraphTestKit {
     store.uploadDataset("pj", net)
     store.uploadDataset("as", asd)
     assert(storedFiles(store) == Set("pj.csv", "pj.labels", "as.csv", "as.labels"))
-    val direct = Seq("pj" -> GraphLoader.pajek(spark, net.toString),
-                     "as" -> GraphLoader.asd(spark, asd.toString))
+    val direct = Seq("pj" -> GraphLoader.pajek(net.toString), "as" -> GraphLoader.asd(asd.toString))
     val before = spark.sparkContext.getPersistentRDDs.keySet
-    for (_ <- 1 to 2; (name, g) <- direct) {
+    for (_ <- 1 to 2; (name, ix) <- direct) {
       val loaded = store.loadDataset(name)
-      assert(edgeSet(loaded) == edgeSet(g), name)
-      assert(labelMap(loaded) == labelMap(g), name)
+      assert(edgeSet(loaded) == edgesOf(ix), name)
+      assert(labelMap(loaded) == labelsOf(ix), name)
     }
     assert(spark.sparkContext.getPersistentRDDs.keySet == before, "a load persisted an RDD")
   }
@@ -277,7 +296,11 @@ class PlatformSpec extends SparkSpec with GraphTestKit {
     val store = Datastore.temp(spark)
     store.uploadDataset("pj", net)
     store.uploadDataset("as", asd)
-    val (pj, as) = (GraphLoader.pajek(spark, net.toString), GraphLoader.asd(spark, asd.toString))
+    val (pj, as) = (store.loadDataset("pj"), store.loadDataset("as"))
+    for ((g, ix) <- Seq(pj -> GraphLoader.pajek(net.toString), as -> GraphLoader.asd(asd.toString))) {
+      assert(g.index.ids.toSeq == ix.ids.toSeq)
+      assert(edgeSet(g) == edgesOf(ix))
+    }
     val sched = new Scheduler(store, workers = 2)
     try {
       val pr = PageRank.Config(maxIter = 20)
