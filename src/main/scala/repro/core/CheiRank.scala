@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
 import repro.graph.DirectedGraph
 
 /** CheiRank (Chepelianskii, paper §II): PageRank computed on the
@@ -10,9 +9,9 @@ import repro.graph.DirectedGraph
   */
 object CheiRank {
 
-  /** CheiRank: PR(Gᵀ), personalized when `cfg.teleport` is set. Returns
-    * `(id, score)`.
+  /** CheiRank: PR(Gᵀ), the PageRank kernel on the transpose of the graph's
+    * index, personalized when `cfg.teleport` is set; one score per vertex.
     */
-  def run(g: DirectedGraph, cfg: PageRank.Config = PageRank.Config()): DataFrame =
-    PageRank.run(g.transpose, cfg)
+  def run(g: DirectedGraph, cfg: PageRank.Config = PageRank.Config()): Scores =
+    new Scores(g.index.ids, PageRank.scores(g.index.transpose, cfg))
 }

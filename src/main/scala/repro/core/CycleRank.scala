@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.{DirectedGraph, IndexedGraph}
 
 /** CycleRank (paper §II, Eq. 1; Consonni et al. 2020).
@@ -56,19 +55,21 @@ object CycleRank {
     */
   val MaxKernelSteps: Long = 20_000_000L
 
-  /** CycleRank of `ref`. Returns `(id, score)` with `score > 0`. */
-  def run(g: DirectedGraph, ref: Long, cfg: Config = Config()): DataFrame = {
+  /** CycleRank of `ref`: the vertices with a positive score, in ascending
+    * id order, from the kernel on the graph's index.
+    */
+  def run(g: DirectedGraph, ref: Long, cfg: Config = Config()): Scores = {
     val ix = g.index
     require(ix.contains(ref), s"reference node $ref is not in the graph")
-    scoresDf(g.edges.sparkSession, scores(ix, ref, cfg, MaxKernelSteps))
+    scores(ix, ref, cfg, MaxKernelSteps)
   }
 
   /** The kernel: the positive scores of the vertices of `ix` that share a
-    * cycle of length ≤ K with `ref`, a vertex of `ix`. Fails naming `ref`
-    * and K when the DFS would extend a path more than `maxSteps` times.
+    * cycle of length ≤ K with `ref`, a vertex of `ix`, in ascending id
+    * order. Fails naming `ref` and K when the DFS would extend a path more
+    * than `maxSteps` times.
     */
-  private[core] def scores(ix: IndexedGraph, ref: Long, cfg: Config,
-                           maxSteps: Long): Map[Long, Double] = {
+  private[core] def scores(ix: IndexedGraph, ref: Long, cfg: Config, maxSteps: Long): Scores = {
     val out = ix.out
     val r = ix.indexOf(ref)
     // Backward distances to r, up to K-1 (Int.MaxValue beyond).
@@ -136,9 +137,9 @@ object CycleRank {
     // of a sum over every length.
     val lengths = Array.range(2, k + 1).filter(counts(_) != null)
     val sigma = lengths.map(cfg.scoring.sigma)
-    val result = Map.newBuilder[Long, Double]
-    var q = 0
-    while (q < found) {
+    val (ids, values) = (Array.newBuilder[Long], Array.newBuilder[Double])
+    for (u <- order.take(found).sorted) { // index order: ascending ids
+      val q = pos(u) - 1
       var score = 0.0
       var i = 0
       while (i < lengths.length) {
@@ -146,14 +147,8 @@ object CycleRank {
         if (q < row.length) score += sigma(i) * row(q)
         i += 1
       }
-      if (score > 0) result += ix.ids(order(q)) -> score
-      q += 1
+      if (score > 0) { ids += ix.ids(u); values += score }
     }
-    result.result()
-  }
-
-  private def scoresDf(spark: SparkSession, scores: Map[Long, Double]): DataFrame = {
-    import spark.implicits._
-    scores.toSeq.sortBy(_._1).toDF("id", "score")
+    new Scores(ids.result(), values.result())
   }
 }

@@ -20,6 +20,6 @@ object LocalCycleRank {
   private[core] def runOnEdges(edges: Seq[(Long, Long)], ref: Long, cfg: CycleRank.Config,
                                maxSteps: Long): Map[Long, Double] = {
     val ix = IndexedGraph.fromArrays(edges.map(_._1).toArray, edges.map(_._2).toArray, Array(ref))
-    CycleRank.scores(ix, ref, cfg, maxSteps)
+    CycleRank.scores(ix, ref, cfg, maxSteps).toMap
   }
 }

@@ -60,17 +60,13 @@ object PageRank {
           .as("score"))
   }
 
-  /** Power iteration on the driver. Returns `(id, score)`, scores summing
-    * to 1: the [[scores]] of the graph's driver-side [[IndexedGraph]],
-    * which the first engine call on the graph builds and every later run
-    * reuses, so a run starts no Spark job.
+  /** Power iteration on the driver: the [[scores]] of the graph's
+    * driver-side [[IndexedGraph]], one per vertex and summing to 1, with
+    * the index's ids. The first engine call on the graph builds the index
+    * and every later run reuses it, so a run starts no Spark job.
     */
-  def run(g: DirectedGraph, cfg: Config = Config()): DataFrame = {
-    val spark = g.edges.sparkSession
-    import spark.implicits._
-    val ix = g.index
-    ix.ids.zip(scores(ix, cfg)).toSeq.toDF("id", "score")
-  }
+  def run(g: DirectedGraph, cfg: Config = Config()): Scores =
+    new Scores(g.index.ids, scores(g.index, cfg))
 
   /** The kernel: the scores of the vertices of `ix`, in index order. The
     * scores and the teleport vector `t` are dense arrays. A sweep visits

@@ -1,11 +1,10 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.graph.DirectedGraph
 
 /** Renders the paper-style "top-k per algorithm" tables (Tables I–III)
-  * from score frames, resolving node ids to labels with the graph's index.
+  * from engine scores, resolving node ids to labels with the graph's index.
   */
 object TableHarness {
 
@@ -15,22 +14,27 @@ object TableHarness {
     */
   final case class Column(title: String, entries: Seq[String])
 
-  /** Top-k labels of a `(id, score)` frame on graph `g`, by score
-    * descending then id ascending ([[Ranking]]); an id with no label stands
-    * for itself. The frame is collected and ranked on the driver, and the
+  /** Top-k labels of `scores` on graph `g`, by score descending then id
+    * ascending ([[Ranking]]); an id with no label stands for itself. The
     * labels are read from the graph's index.
     *
     * @param excludeRef drop this node from the list first (Table II/III
     *                   convention; Table I keeps the reference as row 1)
     */
-  def topLabels(g: DirectedGraph, scores: DataFrame, k: Int,
+  def topLabels(g: DirectedGraph, scores: Scores, k: Int,
                 excludeRef: Option[Long] = None): Seq[String] = {
-    val rows = scores.select(col("id"), col("score")).collect()
-      .map(r => (r.getLong(0), r.getDouble(1)))
-      .filterNot { case (id, _) => excludeRef.contains(id) }
-      .sortBy(_._1) // so that Ranking's ties by position are ties by id
     val ix = g.index
-    Ranking.order(rows.map(_._2)).take(k).toSeq.map(i => ix.labelOf(rows(i)._1)).padTo(k, "–")
+    Ranking.order(scores.values).iterator.map(scores.ids(_)).filterNot(excludeRef.contains)
+      .take(k).map(ix.labelOf).toSeq.padTo(k, "–")
+  }
+
+  /** [[topLabels]] of an `(id, score)` frame: it collects the frame into
+    * [[Scores]] and delegates. perfbench's gate is its caller, with the
+    * frames it reads back from the datastore; ROADMAP item 7 removes it.
+    */
+  def topLabels(g: DirectedGraph, scores: DataFrame, k: Int): Seq[String] = {
+    val rows = scores.select("id", "score").collect().map(r => (r.getLong(0), r.getDouble(1))).sortBy(_._1)
+    topLabels(g, new Scores(rows.map(_._1), rows.map(_._2)), k)
   }
 
   /** Fixed-width ASCII rendering of a table, row per rank. */

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
 import repro.graph.DirectedGraph
 
 /** 2DRank (Zhirov et al., paper §II): a ranking — not a score — that
@@ -10,9 +9,9 @@ import repro.graph.DirectedGraph
   * Construction (square sweep over the (K, K*) plane, DESIGN.md): nodes
   * are emitted in order of increasing `L = max(K, K*)`; within one L,
   * first the vertical edge of the square (K = L) ordered by K*, then the
-  * horizontal edge (K* = L, K < L) ordered by K. The result frame carries
-  * `rank` (the 2DRank position) and, because downstream plumbing expects a
-  * score column, a descending pseudo-score `score = 1/rank`.
+  * horizontal edge (K* = L, K < L) ordered by K. Because the datastore
+  * and the tables read scores, [[run]] returns the descending pseudo-score
+  * `1/rank` of each vertex; [[combine]]'s [[Sweep]] holds the positions.
   */
 object TwoDRank {
 
@@ -46,17 +45,14 @@ object TwoDRank {
   /** 2DRank from PageRank and CheiRank under the same `cfg`; personalized
     * (Personalized PageRank and Personalized CheiRank) when `cfg.teleport`
     * is set. Both run on the graph's index, so their scores share its id
-    * order and a run starts no Spark job. Returns `(id, score, rank, k,
-    * kstar)` in rank order.
+    * order and a run starts no Spark job. Returns `1/rank` per vertex, in
+    * the index's id order.
     */
-  def run(g: DirectedGraph, cfg: PageRank.Config = PageRank.Config()): DataFrame = {
-    val spark = g.edges.sparkSession
-    import spark.implicits._
+  def run(g: DirectedGraph, cfg: PageRank.Config = PageRank.Config()): Scores = {
     val ix = g.index
     val s = combine(PageRank.scores(ix, cfg), PageRank.scores(ix.transpose, cfg))
-    s.order.indices.map { p =>
-      val v = s.order(p)
-      (ix.ids(v), 1.0 / (p + 1), p + 1, s.k(v), s.kstar(v))
-    }.toDF("id", "score", "rank", "k", "kstar")
+    val values = new Array[Double](ix.numVertices)
+    for (p <- s.order.indices) values(s.order(p)) = 1.0 / (p + 1)
+    new Scores(ix.ids, values)
   }
 }

@@ -41,8 +41,8 @@ final case class DirectedGraph(edges: DataFrame, labels: Option[DataFrame] = Non
   /** Number of edges, read from the [[index]]. */
   def numEdges: Long = index.numEdges
 
-  /** Graph with every edge reversed (used by CheiRank); its index is this
-    * graph's index with the two directions swapped.
+  /** Graph with every edge reversed; its index is this graph's index with
+    * the two directions swapped.
     */
   def transpose: DirectedGraph = {
     val t = DirectedGraph(edges.select(col("dst").as("src"), col("src").as("dst")), labels)

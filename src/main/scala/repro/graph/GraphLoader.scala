@@ -1,6 +1,7 @@
 package repro.graph
 
 import java.nio.charset.CodingErrorAction
+import java.util.regex.Pattern
 import scala.collection.mutable
 import scala.io.{Codec, Source}
 import scala.util.Using
@@ -33,9 +34,13 @@ object GraphLoader {
   private def index(edges: Seq[(Long, Long)], ids: Array[Long], labels: Array[String]): IndexedGraph =
     IndexedGraph.fromArrays(edges.map(_._1).toArray, edges.map(_._2).toArray, ids, labels)
 
+  // The field separators, compiled once (`String.split` compiles per line).
+  private val CsvSep = Pattern.compile("[,;\\s]+")
+  private val Blanks = Pattern.compile("\\s+")
+
   /** `(src, dst)` from the first two fields of `line`, split on `sep`. */
-  private def endpoints(what: String, lineNo: Int, line: String, sep: String): (Long, Long) =
-    line.split(sep).take(2).flatMap(_.toLongOption) match {
+  private def endpoints(what: String, lineNo: Int, line: String, sep: Pattern): (Long, Long) =
+    sep.split(line).take(2).flatMap(_.toLongOption) match {
       case Array(src, dst) => (src, dst)
       case _ => reject(what, "contains non-numeric endpoints", lineNo, line)
     }
@@ -51,7 +56,7 @@ object GraphLoader {
     */
   private[repro] def edgeList(path: String): Vector[(Long, Long)] =
     numberedLines(path).collect {
-      case (no, line) if !line.startsWith("#") => endpoints(s"edgelist $path", no, line, "[,;\\s]+")
+      case (no, line) if !line.startsWith("#") => endpoints(s"edgelist $path", no, line, CsvSep)
     }
 
   private val QuotedLabel = "\"([^\"]*)\"".r
@@ -74,12 +79,12 @@ object GraphLoader {
       else if (id >= 1 && id <= n) id
       else reject(what, s"has a vertex id outside 1..$n", no, line)
     def arc(no: Int, line: String): (Long, Long) = {
-      val (src, dst) = endpoints(what, no, line, "\\s+")
+      val (src, dst) = endpoints(what, no, line, Blanks)
       (vertex(src, no, line), vertex(dst, no, line))
     }
     for ((no, line) <- numberedLines(path) if !line.startsWith("%")) {
       if (line.startsWith("*")) {
-        val words = line.split("\\s+")
+        val words = Blanks.split(line)
         section = words(0).toLowerCase
         if (section == "*vertices")
           n = words.lift(1).flatMap(_.toLongOption).filter(_ >= 0)
@@ -113,7 +118,7 @@ object GraphLoader {
     val lines = numberedLines(path)
     require(lines.nonEmpty, s"$what has no header line 'N M'")
     val (headerNo, header) = lines.head
-    val (n, m) = header.split("\\s+").map(_.toLongOption) match {
+    val (n, m) = Blanks.split(header).map(_.toLongOption) match {
       case Array(Some(n), Some(m)) if n >= 0 && m >= 0 => (n, m)
       case _ => reject(what, "needs a header 'N M' with N, M >= 0", headerNo, header)
     }
@@ -121,7 +126,7 @@ object GraphLoader {
     if (body.length != m)
       reject(what, s"header declares $m edges but the body has ${body.length}; header", headerNo, header)
     val edges = body.map { case (no, line) =>
-      val (src, dst) = endpoints(what, no, line, "\\s+")
+      val (src, dst) = endpoints(what, no, line, Blanks)
       if (src < 0 || src >= n || dst < 0 || dst >= n)
         reject(what, s"has an edge endpoint outside [0, $n)", no, line)
       (src, dst)

@@ -1,12 +1,11 @@
 package repro.platform
 
-import org.apache.spark.sql.DataFrame
 import repro.core._
 import repro.graph.DirectedGraph
 
 /** The seven algorithms the demo ships (paper §II/§V), keyed by the names
-  * the Web UI would submit. Each entry maps `(graph, params)` to a
-  * `(id, score)` frame.
+  * the Web UI would submit. Each entry maps `(graph, params)` to the
+  * engine's [[Scores]].
   *
   * Parameter conventions (paper §IV-C): PageRank-family algorithms take
   * `alpha`, `maxIter` and `tol`; personalized variants additionally take
@@ -18,7 +17,7 @@ import repro.graph.DirectedGraph
   */
 object AlgorithmRegistry {
 
-  type Algorithm = (DirectedGraph, Map[String, String]) => DataFrame
+  type Algorithm = (DirectedGraph, Map[String, String]) => Scores
 
   /** An entry: `parse` builds the engine's config `C` from the form
     * parameters, `render` writes a config back as canonical strings, and
@@ -26,8 +25,8 @@ object AlgorithmRegistry {
     */
   private final case class Entry[C](parse: Map[String, String] => C,
                                     render: C => Map[String, String],
-                                    engine: (DirectedGraph, C) => DataFrame) {
-    def run(g: DirectedGraph, params: Map[String, String]): DataFrame = engine(g, parse(params))
+                                    engine: (DirectedGraph, C) => Scores) {
+    def run(g: DirectedGraph, params: Map[String, String]): Scores = engine(g, parse(params))
     def canonical(params: Map[String, String]): Map[String, String] = render(parse(params))
   }
 
@@ -71,7 +70,7 @@ object AlgorithmRegistry {
       c.teleport.map(ref => "ref" -> ref.toString)
 
   /** The global and the personalized entry of one PageRank-family engine. */
-  private def pageRankFamily(name: String, engine: (DirectedGraph, PageRank.Config) => DataFrame) =
+  private def pageRankFamily(name: String, engine: (DirectedGraph, PageRank.Config) => Scores) =
     Seq(name -> Entry(pageRankConfig(personalized = false), renderPageRank, engine),
         s"personalized-$name" -> Entry(pageRankConfig(personalized = true), renderPageRank, engine))
 
@@ -90,7 +89,7 @@ object AlgorithmRegistry {
       { case (g, (ref, c)) => CycleRank.run(g, ref, c) })) ++
     pageRankFamily("pagerank", PageRank.run) ++
     pageRankFamily("cheirank", CheiRank.run) ++
-    pageRankFamily("2drank", TwoDRank.run(_, _).select("id", "score"))
+    pageRankFamily("2drank", TwoDRank.run)
 
   private def entry(name: String): Entry[_] =
     entries.getOrElse(name,

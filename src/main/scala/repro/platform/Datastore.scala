@@ -4,7 +4,7 @@ import java.nio.file.{Files, Path, Paths}
 import scala.jdk.CollectionConverters._
 import scala.util.Using
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import repro.core.Scores
 import repro.graph.{DirectedGraph, GraphLoader, GraphOps, IndexedGraph}
 
 /** Filesystem-backed datastore (paper §III): stores datasets, and the
@@ -138,27 +138,32 @@ final class Datastore private[platform] (val root: Path, spark: SparkSession, re
     (GraphOps.clean(DirectedGraph(edges.toDF("src", "dst"), labels)), edges.size.toLong)
   }
 
-  /** Persist a finished task's `(id, score)` result; returns the number
-    * of rows written.
+  /** Persist a finished task's scores as `id,score` lines, in the
+    * result's id order; returns the number of lines written.
     */
-  def writeResult(taskId: String, result: DataFrame): Long = {
-    val dir = resultsDir.resolve(taskId)
-    Files.createDirectories(dir)
-    val rows = result.select(col("id"), col("score")).collect()
-      .map(r => s"${r.getLong(0)},${r.getDouble(1)}")
-    Files.write(dir.resolve("scores.csv"), rows.toSeq.asJava)
-    rows.length
+  def writeResult(taskId: String, result: Scores): Long = {
+    val dir = Files.createDirectories(resultsDir.resolve(taskId))
+    val lines = result.ids.indices.map(i => s"${result.ids(i)},${result.values(i)}")
+    Files.write(dir.resolve("scores.csv"), lines.asJava)
+    result.count()
   }
 
-  /** Read a task result back as a DataFrame; None if never written. */
+  /** Read a task result back as an `(id, score)` DataFrame; None if never
+    * written. A line that is not `<long>,<double>` is rejected naming the
+    * file, the line number and the line; an empty file is an empty result.
+    */
   def readResult(taskId: String): Option[DataFrame] = {
     val f = resultsDir.resolve(taskId).resolve("scores.csv")
-    if (!Files.exists(f)) None
-    else {
+    Option.when(Files.exists(f)) {
       import spark.implicits._
-      val rows = Files.readAllLines(f).asScala.toSeq
-        .map(_.split(",")).map(a => (a(0).toLong, a(1).toDouble))
-      Some(rows.toDF("id", "score"))
+      Files.readAllLines(f).asScala.toSeq.zipWithIndex.map { case (line, i) =>
+        line.split(",", -1) match {
+          case Array(id, score) if id.toLongOption.isDefined && score.toDoubleOption.isDefined =>
+            (id.toLong, score.toDouble)
+          case _ => throw new IllegalArgumentException(
+            s"result $f has a line that is not 'id,score' at line ${i + 1}: '$line'")
+        }
+      }.toDF("id", "score")
     }
   }
 

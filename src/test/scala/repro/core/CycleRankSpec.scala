@@ -155,7 +155,8 @@ class CycleRankSpec extends SparkSpec with GraphTestKit {
     val g  = graphOfSeq(es)
     val ref = es.head._1
     val k = 4
-    val got = CycleRank.run(g, ref, CycleRank.Config(k))
+    import spark.implicits._
+    val got = cr(g, ref, k).toSeq.toDF("id", "score")
     val sql =
       s"""WITH RECURSIVE e AS (
          |  SELECT CAST(src AS BIGINT) src, CAST(dst AS BIGINT) dst FROM edges
@@ -231,7 +232,7 @@ class CycleRankSpec extends SparkSpec with GraphTestKit {
     val before = mx.getCurrentThreadAllocatedBytes
     val s = CycleRank.scores(ix, 0L, CycleRank.Config(5000, Scoring.Constant), CycleRank.MaxKernelSteps)
     val bytes = mx.getCurrentThreadAllocatedBytes - before
-    assert(s.size == 5000 && s.values.forall(_ == 1.0))
+    assert(s.count() == 5000 && s.values.forall(_ == 1.0))
     assert(bytes < 10_000_000L, s"the query allocated $bytes bytes")
   }
 

@@ -39,7 +39,10 @@ trait GraphTestKit { self: SparkSpec =>
     g.edges.intersect(rev)
   }
 
-  /** Collect a `(id, score)` frame to a map. */
+  /** An engine's scores as a map by id. */
+  def scoresMap(s: Scores): Map[Long, Double] = s.toMap
+
+  /** Collect a `(id, score)` frame, as the datastore reads one back, to a map. */
   def scoresMap(df: DataFrame): Map[Long, Double] =
     df.select("id", "score").collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
 

@@ -118,9 +118,9 @@ class PageRankSpec extends SparkSpec with GraphTestKit {
     val before = sc.getPersistentRDDs.keySet.toSet
     for (maxIter <- Seq(5, 30)) {
       val cfg = PageRank.Config(maxIter = maxIter, tol = 0.0)
-      PageRank.run(g, cfg).collect()
-      CheiRank.run(g, cfg).collect()
-      CycleRank.run(g, es.head._1, CycleRank.Config(3)).collect()
+      PageRank.run(g, cfg)
+      CheiRank.run(g, cfg)
+      CycleRank.run(g, es.head._1, CycleRank.Config(3))
       assert(sc.getPersistentRDDs.keySet.toSet == before, s"persisted by runs of $maxIter sweeps")
     }
   }

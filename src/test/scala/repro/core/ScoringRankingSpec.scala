@@ -42,17 +42,23 @@ class ScoringRankingSpec extends SparkSpec with GraphTestKit {
     assert(ranked(Map(9L -> 0.5, 3L -> 0.2, 5L -> 0.5, 1L -> 0.2)) == Map(5L -> 1, 9L -> 2, 1L -> 3, 3L -> 4))
   }
 
+  test("Scores holds one value per id, ids strictly ascending") {
+    for ((ids, values) <- Seq((Array(1L, 1L), Array(0.5, 0.5)), (Array(2L, 1L), Array(0.5, 0.5)),
+                              (Array(1L, 2L), Array(0.5))))
+      intercept[IllegalArgumentException](new Scores(ids, values))
+    val s = new Scores(Array(-3L, 1L << 40), Array(0.25, 0.75))
+    assert(s.count() == 2 && s.toMap == Map(-3L -> 0.25, (1L << 40) -> 0.75))
+  }
+
   test("topK returns k best pairs in order") {
-    import spark.implicits._
-    val df = Seq((1L, 0.1), (2L, 0.9), (3L, 0.5), (4L, 0.7)).toDF("id", "score")
-    assert(TopK.ids(df, 2) == Seq(2L, 4L))
-    assert(TopK(df, 1) == Seq((2L, 0.9)))
+    val s = new Scores(Array(1L, 2L, 3L, 4L), Array(0.1, 0.9, 0.5, 0.7))
+    assert(TopK.ids(s, 2) == Seq(2L, 4L))
+    assert(TopK(s, 1) == Seq((2L, 0.9)))
   }
 
   test("topKOverlap and topKJaccard behave on disjoint and equal sets") {
-    import spark.implicits._
-    val a = Seq((1L, 1.0), (2L, 0.9)).toDF("id", "score")
-    val b = Seq((3L, 1.0), (4L, 0.9)).toDF("id", "score")
+    val a = new Scores(Array(1L, 2L), Array(1.0, 0.9))
+    val b = new Scores(Array(3L, 4L), Array(1.0, 0.9))
     assertClose(TopK.overlap(a, b, 2), 0.0, 1e-15)
     assertClose(TopK.overlap(a, a, 2), 1.0, 1e-15)
     assertClose(TopK.jaccard(a, b, 2), 0.0, 1e-15)

@@ -14,9 +14,11 @@ class TableHarnessSpec extends SparkSpec with GraphTestKit {
     import spark.implicits._
     val g = DirectedGraph(Seq((1L, 2L)).toDF("src", "dst"),
       Some(Seq((1L, "one")).toDF("id", "label")))
-    val scores = Seq((1L, 0.5), (2L, 0.4)).toDF("id", "score")
+    val scores = new Scores(Array(1L, 2L), Array(0.5, 0.4))
     assert(TableHarness.topLabels(g, scores, 3) == Seq("one", "2", "–"))
     assert(TableHarness.topLabels(g, scores, 3, excludeRef = Some(1L)) == Seq("2", "–", "–"))
+    // The frame form collects into scores and gives the same list.
+    assert(TableHarness.topLabels(g, Seq((2L, 0.4), (1L, 0.5)).toDF("id", "score"), 3) == Seq("one", "2", "–"))
   }
 
   test("topLabels on PageRank and CycleRank frames of a labelled graph starts no Spark job") {
@@ -49,7 +51,7 @@ class TableHarnessSpec extends SparkSpec with GraphTestKit {
     import spark.implicits._
     val g = DirectedGraph(Seq((1L, 2L), (2L, 3L)).toDF("src", "dst"),
       Some(Seq((1L, "a"), (2L, "b"), (2L, "c")).toDF("id", "label")))
-    val scores = Seq((1L, 0.5), (2L, 0.4)).toDF("id", "score")
+    val scores = new Scores(Array(1L, 2L), Array(0.5, 0.4))
     for (call <- Seq(() => TableHarness.topLabels(g, scores, 2), () => Tables.idOf(g, "b"))) {
       val e = intercept[IllegalArgumentException](call())
       assert(e.getMessage.contains("vertex 2 has two labels"), e.getMessage)

@@ -5,8 +5,9 @@ import repro.SparkSpec
 /** 2DRank: square-sweep construction over the (K, K*) plane. */
 class TwoDRankSpec extends SparkSpec with GraphTestKit {
 
-  private def ranksOf(df: org.apache.spark.sql.DataFrame): Map[Long, Int] =
-    df.select("id", "rank").collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+  /** The 2DRank position of each id, read back from `run`'s `1/rank`. */
+  private def ranksOf(s: Scores): Map[Long, Int] =
+    s.ids.zip(s.values.map(v => math.round(1 / v).toInt)).toMap
 
   /** The 2DRank position of each id under `combine`, for synthetic
     * PageRank and CheiRank scores given by id.
@@ -34,14 +35,23 @@ class TwoDRankSpec extends SparkSpec with GraphTestKit {
     assert(r(2L) == 1 && r(1L) == 2)
   }
 
+  /** `combine`'s `(rank, k, kstar)` per id for the graph's PageRank and
+    * CheiRank under `cfg`.
+    */
+  private def sweepOf(g: repro.graph.DirectedGraph, cfg: PageRank.Config): Map[Long, (Int, Int, Int)] = {
+    val (pr, chei) = (PageRank.run(g, cfg), CheiRank.run(g, cfg))
+    val s = TwoDRank.combine(pr.values, chei.values)
+    s.order.zipWithIndex.map { case (v, p) => pr.ids(v) -> ((p + 1, s.k(v), s.kstar(v))) }.toMap
+  }
+
   /** 2DRank's `(rank, k, kstar)` per id against the brute-force sort of
-    * the same PageRank and CheiRank scores.
+    * the same PageRank and CheiRank scores, and `run`'s ranks against it.
     */
   private def assertMatchesReference(g: repro.graph.DirectedGraph, cfg: PageRank.Config): Unit = {
-    val got = TwoDRank.run(g, cfg).select("id", "rank", "k", "kstar").collect()
-      .map(r => r.getLong(0) -> ((r.getInt(1), r.getInt(2), r.getInt(3)))).toMap
+    val got = sweepOf(g, cfg)
     val want = Reference.twoDRank(scoresMap(PageRank.run(g, cfg)), scoresMap(CheiRank.run(g, cfg)))
     assert(got == want)
+    assert(ranksOf(TwoDRank.run(g, cfg)) == got.map { case (id, (rank, _, _)) => id -> rank })
   }
 
   test("2DRank equals the brute-force sweep on random graphs") {
@@ -74,8 +84,8 @@ class TwoDRankSpec extends SparkSpec with GraphTestKit {
 
   test("pseudo-score is the descending reciprocal of the rank") {
     val g = graphOf((1L, 2L), (2L, 3L), (3L, 1L), (2L, 1L))
-    val rows = TwoDRank.run(g, PageRank.Config(maxIter = 15)).select("rank", "score").collect()
-    rows.foreach(r => assertClose(r.getDouble(1), 1.0 / r.getInt(0), 1e-12))
+    val values = TwoDRank.run(g, PageRank.Config(maxIter = 15)).values
+    assert(values.sorted.reverse.toSeq == (1 to values.length).map(1.0 / _))
   }
 
   test("deterministic across repeated runs") {
@@ -90,9 +100,14 @@ class TwoDRankSpec extends SparkSpec with GraphTestKit {
     assert(r(2L) == 1, s"reference tops both PPR and personalized CheiRank: $r")
   }
 
-  test("carries the underlying K and K* columns") {
-    val g = graphOf((1L, 2L), (2L, 1L))
-    val cols = TwoDRank.run(g, PageRank.Config(maxIter = 10)).columns.toSet
-    assert(Set("id", "score", "rank", "k", "kstar").subsetOf(cols))
+  test("run's values are 1/rank from combine, in id order") {
+    val es = Reference.randomGraph(20, 60, seed = 930)
+    for (cfg <- Seq(PageRank.Config(), PageRank.Config(alpha = 0.3, teleport = Seq(es.head._1)))) {
+      val g = graphOfSeq(es)
+      val s = TwoDRank.run(g, cfg)
+      val rank = sweepOf(g, cfg)
+      assert(s.ids.toSeq == rank.keys.toSeq.sorted)
+      assert(s.ids.indices.forall(i => s.values(i) == 1.0 / rank(s.ids(i))._1), s.values.toSeq)
+    }
   }
 }

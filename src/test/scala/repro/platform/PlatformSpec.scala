@@ -4,7 +4,7 @@ import java.nio.file.Files
 import scala.jdk.CollectionConverters._
 import scala.util.Using
 import repro.SparkSpec
-import repro.core.{CheiRank, CycleRank, GraphTestKit, PageRank, Scoring, TwoDRank}
+import repro.core.{CheiRank, CycleRank, GraphTestKit, PageRank, Scores, Scoring, TwoDRank}
 import repro.graph.{DirectedGraph, GraphLoader}
 
 /** End-to-end tests of the headless demo platform: task builder →
@@ -152,6 +152,19 @@ class PlatformSpec extends SparkSpec with GraphTestKit {
     assert(labelMap(store.loadDataset("ok")) == Map(1L -> " one\tand two ", 2L -> ""))
   }
 
+  test("a malformed stored result line is rejected naming the file, the line number and the line") {
+    val store = Datastore.temp(spark)
+    val file = Files.createDirectories(store.root.resolve("results").resolve("bad")).resolve("scores.csv")
+    for (bad <- Seq("2", "x,0.5", "1,y", "1,0.5,3", "1;0.5", "")) {
+      Files.write(file, Seq("1,0.5", bad).asJava)
+      val e = intercept[IllegalArgumentException](store.readResult("bad"))
+      assert(e.getMessage == s"result $file has a line that is not 'id,score' at line 2: '$bad'", e.getMessage)
+    }
+    // An empty file is an empty result, as a CycleRank query on no cycle stores.
+    Files.write(file, Array.emptyByteArray)
+    assert(store.readResult("bad").get.count() == 0)
+  }
+
   test("datastore rejects unknown dataset names") {
     val store = Datastore.temp(spark)
     intercept[IllegalArgumentException](store.loadDataset("missing"))
@@ -210,10 +223,16 @@ class PlatformSpec extends SparkSpec with GraphTestKit {
   }
 
   test("writeResult returns the number of rows it wrote") {
-    import spark.implicits._
     val store = Datastore.temp(spark)
-    assert(store.writeResult("t", Seq((1L, 0.5), (2L, 0.25)).toDF("id", "score")) == 2)
+    assert(store.writeResult("t", new Scores(Array(1L, 2L), Array(0.5, 0.25))) == 2)
     assert(store.readResult("t").get.count() == 2)
+    // Extreme ids and doubles, and an empty result, read back bit for bit.
+    val bits = (m: Map[Long, Double]) => m.map { case (id, v) => id -> java.lang.Double.doubleToRawLongBits(v) }
+    for (s <- Seq(new Scores(Array(-7L, 0L, 1L << 31, Long.MaxValue), Array(4.9e-324, 1.0e-300, 0.1 + 0.2, 1.0)),
+                  new Scores(Array.empty, Array.empty))) {
+      assert(store.writeResult("x", s) == s.count())
+      assert(bits(scoresMap(store.readResult("x").get)) == bits(s.toMap))
+    }
   }
 
   test("datastore rejects dataset names with a path separator") {

@@ -108,8 +108,8 @@ class ResidencySpec extends SparkSpec with GraphTestKit {
     for (name <- Seq("a", "b", "c")) store.putDataset(name, graphOf((1L, 2L), (2L, 3L), (3L, 1L), (1L, 3L)))
     val a = store.loadDataset("a")
     val b = store.loadDataset("b")
-    PageRank.run(a).collect()
-    PageRank.run(b).collect()
+    PageRank.run(a)
+    PageRank.run(b)
     assert(store.loadDataset("a") eq a) // a is now the most recently used
     val c = store.loadDataset("c") // 12 edges > 10: b goes
     assert(store.loadDataset("a") eq a)
